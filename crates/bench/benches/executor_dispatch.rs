@@ -1,15 +1,13 @@
 //! Microbenchmarks of parallel-region *dispatch* cost: the persistent
-//! worker pool (workers parked on a condvar between regions) against the
-//! retired spawn-per-region reference it replaced, plus the work-size
-//! inline short-circuit that skips the pool entirely for tiny regions.
+//! worker pool (workers parked on a condvar between regions), the
+//! work-size inline short-circuit that skips the pool entirely for tiny
+//! regions, and the serial loop as the floor.
 //!
 //! The region body is intentionally near-empty — these benches time the
-//! scheduling machinery, not the work. The pooled/spawned pair is the
-//! acceptance record for the pool refactor: pooled dispatch must be
-//! several times cheaper than spawning fresh threads per region.
+//! scheduling machinery, not the work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mercury_tensor::exec::{reference, Executor};
+use mercury_tensor::exec::Executor;
 use std::hint::black_box;
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -22,9 +20,6 @@ fn bench_dispatch(c: &mut Criterion) {
         let pool = Executor::threaded(width);
         group.bench_function(format!("pooled_w{width}"), |b| {
             b.iter(|| pool.map_indexed(width, |i| black_box(i) * 2 + 1))
-        });
-        group.bench_function(format!("spawned_w{width}"), |b| {
-            b.iter(|| reference::map_indexed_spawned(width, width, |i| black_box(i) * 2 + 1))
         });
     }
 

@@ -6,25 +6,26 @@
 //! design qualitatively; this ablation quantifies it per model.
 
 use mercury_accel::config::{AcceleratorConfig, Design};
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::all_models;
 
 fn main() {
     println!("# Ablation: synchronous vs asynchronous design");
     println!("model\tsync_speedup\tasync_speedup\tasync_gain_pct");
+    let sim = |design: Design| {
+        ModelSim::new(ModelSimConfig {
+            accelerator: AcceleratorConfig {
+                design,
+                ..AcceleratorConfig::paper_default()
+            },
+            ..ModelSimConfig::default()
+        })
+    };
+    let sync_sim = sim(Design::Synchronous);
+    let async_sim = sim(Design::Asynchronous { filter_slots: 4 });
     for spec in all_models() {
-        let speedup = |design: Design| {
-            let cfg = ModelSimConfig {
-                accelerator: AcceleratorConfig {
-                    design,
-                    ..AcceleratorConfig::paper_default()
-                },
-                ..ModelSimConfig::default()
-            };
-            simulate_model(&spec, &cfg).speedup()
-        };
-        let sync = speedup(Design::Synchronous);
-        let asyn = speedup(Design::Asynchronous { filter_slots: 4 });
+        let sync = sync_sim.run(&spec).speedup();
+        let asyn = async_sim.run(&spec).speedup();
         println!(
             "{}\t{sync:.3}\t{asyn:.3}\t{:+.1}",
             spec.name,

@@ -5,15 +5,15 @@
 //! Paper reference: average speedup 1.97×, signature cycles a small
 //! fraction of the total, larger networks saving more.
 
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::all_models;
 
 fn main() {
-    let cfg = ModelSimConfig::default();
-    let mut reports = Vec::new();
-    for spec in all_models() {
-        reports.push((spec.name.clone(), simulate_model(&spec, &cfg)));
-    }
+    let sim = ModelSim::new(ModelSimConfig::default());
+    let reports: Vec<_> = all_models()
+        .iter()
+        .map(|spec| (spec.name.clone(), sim.run(spec)))
+        .collect();
 
     println!("# Figure 14a: similarity detection on/off per model");
     println!("model\tlayers_on\tlayers_off");

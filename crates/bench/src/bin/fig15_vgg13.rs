@@ -6,13 +6,13 @@
 //! cache pressure fall; early layers carry the most unique vectors
 //! (hundreds, bounded by MCACHE capacity per channel).
 
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::vgg13;
 
 fn main() {
-    let cfg = ModelSimConfig::default();
+    let sim = ModelSim::new(ModelSimConfig::default());
     let spec = vgg13();
-    let report = simulate_model(&spec, &cfg);
+    let report = sim.run(&spec);
     let conv_stats: Vec<_> = spec
         .layers
         .iter()
@@ -53,7 +53,7 @@ fn main() {
         let channels = layer.reuse_scopes() as u64;
         // Forward + two backward passes were accumulated; report the
         // forward-equivalent per-channel count.
-        let passes = if cfg.include_backward { 3 } else { 1 };
+        let passes = if sim.config().include_backward { 3 } else { 1 };
         println!(
             "layer-{}\t{}",
             i + 1,

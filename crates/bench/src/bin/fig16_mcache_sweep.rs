@@ -6,7 +6,7 @@
 //! paper could not synthesize 32-way configurations (Vivado timeout); the
 //! simulator has no such limit, so the 32-way column is filled in.
 
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_mcache::MCacheConfig;
 use mercury_models::all_models;
 
@@ -16,14 +16,14 @@ fn main() {
     for &entries in &[512usize, 1024, 2048] {
         for &ways in &[8usize, 16, 32] {
             let sets = entries / ways;
-            let cfg = ModelSimConfig {
+            let sim = ModelSim::new(ModelSimConfig {
                 cache: MCacheConfig::new(sets, ways, 1).expect("valid cache geometry"),
                 ..ModelSimConfig::default()
-            };
+            });
             let mut log_sum = 0.0;
             let mut count = 0;
             for spec in all_models() {
-                let s = simulate_model(&spec, &cfg).speedup();
+                let s = sim.run(&spec).speedup();
                 log_sum += s.ln();
                 count += 1;
                 println!("{entries}\t{ways}\t{}\t{s:.3}", spec.name);

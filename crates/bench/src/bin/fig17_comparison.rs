@@ -7,12 +7,12 @@
 //! ~2% on average.
 
 use mercury_baselines::{measured, ucnn, unlimited_similarity, zero_prune};
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::all_models;
 use mercury_tensor::rng::Rng;
 
 fn main() {
-    let cfg = ModelSimConfig::default();
+    let sim = ModelSim::new(ModelSimConfig::default());
     let mut rng = Rng::new(1717);
 
     println!("# Figure 17: speedup comparison (upper-bound comparators)");
@@ -20,7 +20,7 @@ fn main() {
     let mut sums = [0.0f64; 6];
     let mut count = 0;
     for spec in all_models() {
-        let mercury = simulate_model(&spec, &cfg).speedup();
+        let mercury = sim.run(&spec).speedup();
         let u6 = ucnn::model_speedup(&spec, 6, &mut rng);
         let u7 = ucnn::model_speedup(&spec, 7, &mut rng);
         let u8b = ucnn::model_speedup(&spec, 8, &mut rng);

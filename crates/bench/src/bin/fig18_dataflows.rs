@@ -4,32 +4,34 @@
 //! Paper reference: IS average 1.55× (max 1.72× on VGG-19), WS average
 //! 1.66× (max 1.89× on ResNet-101); both below row-stationary's 1.97×.
 
-use mercury_accel::config::Dataflow;
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_accel::config::{AcceleratorConfig, Dataflow};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::all_models;
 
 fn main() {
     println!("# Figure 18: speedups under secondary dataflows (11 CNNs)");
     println!("model\tinput_stationary\tweight_stationary\trow_stationary");
+    let sim = |flow: Dataflow| {
+        ModelSim::new(ModelSimConfig {
+            accelerator: AcceleratorConfig {
+                dataflow: flow,
+                ..AcceleratorConfig::paper_default()
+            },
+            ..ModelSimConfig::default()
+        })
+    };
+    let is_sim = sim(Dataflow::InputStationary);
+    let ws_sim = sim(Dataflow::WeightStationary);
+    let rs_sim = sim(Dataflow::RowStationary);
     let mut sums = [0.0f64; 3];
     let mut count = 0;
     for spec in all_models() {
         if spec.name == "Transformer" {
             continue; // Figure 18 evaluates the CNN models only.
         }
-        let speedup = |flow: Dataflow| {
-            let cfg = ModelSimConfig {
-                accelerator: mercury_accel::config::AcceleratorConfig {
-                    dataflow: flow,
-                    ..mercury_accel::config::AcceleratorConfig::paper_default()
-                },
-                ..ModelSimConfig::default()
-            };
-            simulate_model(&spec, &cfg).speedup()
-        };
-        let is = speedup(Dataflow::InputStationary);
-        let ws = speedup(Dataflow::WeightStationary);
-        let rs = speedup(Dataflow::RowStationary);
+        let is = is_sim.run(&spec).speedup();
+        let ws = ws_sim.run(&spec).speedup();
+        let rs = rs_sim.run(&spec).speedup();
         for (s, v) in sums.iter_mut().zip([is, ws, rs]) {
             *s += v.ln();
         }

@@ -1,6 +1,6 @@
 //! Experiment harness for the MERCURY reproduction.
 //!
-//! [`simulate_model`] walks a [`ModelSpec`], synthesizes per-channel
+//! [`ModelSim::run`] walks a [`ModelSpec`], synthesizes per-channel
 //! input-vector streams at the model's similarity profile, probes a real
 //! MCACHE (so HIT/MAU/MNU mixes reflect set conflicts and the
 //! no-replacement policy), feeds the outcomes to the cycle-level
@@ -14,15 +14,16 @@
 //! MCACHE. The seed is derived deterministically: starting from
 //! `config seed ⊕ fnv(model name)`, FNV-mix in the layer's name, its
 //! index (names may repeat), and the pass discriminant (0/1/2). Layers
-//! are therefore independent, and [`simulate_model`] shards them across
-//! the workspace-wide [`Executor`] backend selected by
+//! are therefore independent, and [`ModelSim`] shards them across the
+//! workspace-wide [`Executor`] backend selected by
 //! [`ModelSimConfig::executor`] (threaded by default; `MERCURY_EXECUTOR`
-//! overrides) while staying bit-identical to [`simulate_model_serial`] —
+//! overrides) while staying bit-identical to [`ExecutorKind::Serial`] —
 //! the contract `tests/determinism.rs` pins. Changing the scheme changes
 //! every simulated number, so treat it as part of the output format.
 //!
 //! Each binary in `src/bin/` regenerates one figure or table of the paper
-//! (see `DESIGN.md` §4 for the index) and prints TSV to stdout.
+//! (see the README's "Reproducing the paper's figures" section for the
+//! index) and prints TSV to stdout.
 
 #![warn(missing_docs)]
 
@@ -324,27 +325,11 @@ fn conv_kernel_sizes(spec: &ModelSpec) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Simulates a full training iteration of `spec` (forward plus, when
-/// configured, the two backward convolutions per conv layer) and returns
-/// the per-layer report.
-///
-/// Layers are sharded across the [`Executor`] backend selected by
-/// [`ModelSimConfig::executor`]: every `(layer, pass)` is seeded
-/// independently (see `layer_pass_seed` in the module source), so reports
-/// are bit-identical to [`simulate_model_serial`] — the contract
-/// `tests/determinism.rs` pins — while wall-clock time drops with core
-/// count.
-pub fn simulate_model(spec: &ModelSpec, cfg: &ModelSimConfig) -> RunReport {
-    ModelSim::new(*cfg).run(spec)
-}
-
-/// A model simulator with a **resolved, persistent executor**: the
+/// The paper's cycle model with a **resolved, persistent executor**: the
 /// worker pool behind [`ModelSimConfig::executor`] is created once here
 /// and reused by every [`run`](Self::run) — across models, epochs, and
-/// bench iterations — instead of being re-resolved (and its threads
-/// re-created) per call the way the [`simulate_model`] convenience
-/// wrapper does. Anything that simulates more than once should hold one
-/// of these.
+/// bench iterations. Hold one per configuration; a pool carries no state
+/// from one run to the next.
 #[derive(Debug)]
 pub struct ModelSim {
     cfg: ModelSimConfig,
@@ -366,8 +351,15 @@ impl ModelSim {
         &self.cfg
     }
 
-    /// Simulates a full training iteration of `spec` on the held
-    /// executor; same output contract as [`simulate_model`].
+    /// Simulates a full training iteration of `spec` (forward plus, when
+    /// configured, the two backward convolutions per conv layer) on the
+    /// held executor and returns the per-layer report.
+    ///
+    /// Every `(layer, pass)` is seeded independently (see
+    /// `layer_pass_seed` in the module source), so reports are
+    /// bit-identical on every backend, [`ExecutorKind::Serial`] included —
+    /// the contract `tests/determinism.rs` pins — while wall-clock time
+    /// drops with core count.
     pub fn run(&self, spec: &ModelSpec) -> RunReport {
         let conv_kernels = conv_kernel_sizes(spec);
         let mut report = RunReport::new(spec.name.clone());
@@ -378,36 +370,6 @@ impl ModelSim {
         }
         report
     }
-}
-
-/// [`simulate_model`] with an explicit worker count (one worker = the
-/// serial backend). Kept so the determinism suite can pin specific pool
-/// widths even on single-core machines, where the auto-sized backend
-/// collapses to serial.
-pub fn simulate_model_with_workers(
-    spec: &ModelSpec,
-    cfg: &ModelSimConfig,
-    workers: usize,
-) -> RunReport {
-    let executor = if workers <= 1 {
-        ExecutorKind::Serial
-    } else {
-        ExecutorKind::Threaded { threads: workers }
-    };
-    simulate_model(spec, &ModelSimConfig { executor, ..*cfg })
-}
-
-/// Serial reference for [`simulate_model`]: identical seeding, identical
-/// arithmetic, one layer after another on the calling thread. Kept public
-/// so the determinism suite (and anyone debugging a layer in isolation)
-/// can compare against the sharded path.
-pub fn simulate_model_serial(spec: &ModelSpec, cfg: &ModelSimConfig) -> RunReport {
-    let conv_kernels = conv_kernel_sizes(spec);
-    let mut report = RunReport::new(spec.name.clone());
-    for i in 0..spec.layers.len() {
-        report.push(simulate_layer(spec, i, &conv_kernels, cfg));
-    }
-    report
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -641,7 +603,7 @@ mod tests {
 
     #[test]
     fn vgg13_simulation_shows_speedup() {
-        let report = simulate_model(&vgg13(), &quick_cfg());
+        let report = ModelSim::new(quick_cfg()).run(&vgg13());
         assert_eq!(report.layers.len(), vgg13().layers.len());
         let speedup = report.speedup();
         assert!(
@@ -652,7 +614,7 @@ mod tests {
 
     #[test]
     fn transformer_simulation_runs() {
-        let report = simulate_model(&transformer(), &quick_cfg());
+        let report = ModelSim::new(quick_cfg()).run(&transformer());
         assert!(
             report.speedup() > 1.0,
             "transformer speedup {}",
@@ -664,9 +626,9 @@ mod tests {
     fn backward_increases_work() {
         let mut cfg = quick_cfg();
         cfg.include_backward = false;
-        let fwd = simulate_model(&vgg13(), &cfg);
+        let fwd = ModelSim::new(cfg).run(&vgg13());
         cfg.include_backward = true;
-        let both = simulate_model(&vgg13(), &cfg);
+        let both = ModelSim::new(cfg).run(&vgg13());
         assert!(both.total_cycles().baseline > fwd.total_cycles().baseline);
     }
 
@@ -674,9 +636,9 @@ mod tests {
     fn adaptive_never_hurts() {
         let mut cfg = quick_cfg();
         cfg.adaptive = false;
-        let plain = simulate_model(&mobilenet_v2(), &cfg);
+        let plain = ModelSim::new(cfg).run(&mobilenet_v2());
         cfg.adaptive = true;
-        let adaptive = simulate_model(&mobilenet_v2(), &cfg);
+        let adaptive = ModelSim::new(cfg).run(&mobilenet_v2());
         assert!(adaptive.total_cycles().total() <= plain.total_cycles().total());
         // MobileNet's depthwise layers cannot amortize signatures: some
         // layers must be off (Figure 14a shows off-layers for MobNet-V2).
@@ -718,10 +680,9 @@ mod tests {
 
     #[test]
     fn model_sim_runner_matches_one_shot_wrapper() {
-        let cfg = quick_cfg();
-        let sim = ModelSim::new(cfg);
+        let sim = ModelSim::new(quick_cfg());
         let a = sim.run(&vgg13());
-        let b = simulate_model(&vgg13(), &cfg);
+        let b = ModelSim::new(quick_cfg()).run(&vgg13());
         assert_eq!(a.total_cycles(), b.total_cycles());
         // The held executor serves repeated runs (the pool-reuse shape).
         let c = sim.run(&vgg13());
@@ -730,8 +691,9 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = simulate_model(&vgg13(), &quick_cfg());
-        let b = simulate_model(&vgg13(), &quick_cfg());
+        let sim = ModelSim::new(quick_cfg());
+        let a = sim.run(&vgg13());
+        let b = sim.run(&vgg13());
         assert_eq!(a.total_cycles(), b.total_cycles());
     }
 
@@ -740,7 +702,7 @@ mod tests {
         let mut cfg = quick_cfg();
         let speedup = |flow: Dataflow, cfg: &mut ModelSimConfig| {
             cfg.accelerator.dataflow = flow;
-            simulate_model(&vgg13(), cfg).speedup()
+            ModelSim::new(*cfg).run(&vgg13()).speedup()
         };
         let rs = speedup(Dataflow::RowStationary, &mut cfg);
         let ws = speedup(Dataflow::WeightStationary, &mut cfg);
@@ -753,9 +715,9 @@ mod tests {
     fn sync_design_is_not_faster_than_async() {
         let mut cfg = quick_cfg();
         cfg.accelerator.design = Design::Synchronous;
-        let sync = simulate_model(&vgg13(), &cfg);
+        let sync = ModelSim::new(cfg).run(&vgg13());
         cfg.accelerator.design = Design::Asynchronous { filter_slots: 4 };
-        let asyn = simulate_model(&vgg13(), &cfg);
+        let asyn = ModelSim::new(cfg).run(&vgg13());
         assert!(asyn.total_cycles().total() <= sync.total_cycles().total());
     }
 }

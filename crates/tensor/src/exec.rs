@@ -984,56 +984,6 @@ mod pool {
     }
 }
 
-/// The retired spawn-per-region scheduling, kept **only** as a
-/// measurement reference: `benches/executor_dispatch.rs` races it
-/// against the persistent pool to quantify what parking the workers
-/// buys. No production path calls into this module.
-pub mod reference {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// `Executor::map_indexed` as PR 4 shipped it: spawn `threads` scoped
-    /// workers for this one region, join them, return results in index
-    /// order.
-    pub fn map_indexed_spawned<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("executor worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every index computed exactly once"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1383,12 +1333,5 @@ mod tests {
         let exec = Executor::threaded_tuned(2, strict);
         assert_eq!(exec.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
         assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
-    }
-
-    #[test]
-    fn spawned_reference_matches_pool_results() {
-        let want: Vec<usize> = (0..33).map(|i| i ^ 5).collect();
-        assert_eq!(reference::map_indexed_spawned(4, 33, |i| i ^ 5), want);
-        assert_eq!(Executor::threaded(4).map_indexed(33, |i| i ^ 5), want);
     }
 }

@@ -23,16 +23,7 @@
 //! roundings per multiply-add (no FMA contraction) — so vectorizing across
 //! independent elements changes nothing observable. Per-kernel unit tests
 //! pin every SIMD path bit-identical to its scalar reference.
-//!
-//! The one place that trades exactness for speed lives behind the
-//! default-off `fast-math` cargo feature (the `fast` module): an
-//! FMA-contracted
-//! GEMM whose single-rounding multiply-adds are *not* bit-identical to the
-//! reference (typically a few ULPs apart). Nothing in the workspace
-//! enables it; it exists for callers who opt out of the contract.
 
-#[cfg(feature = "fast-math")]
-pub mod fast;
 pub mod gemm;
 pub mod pack;
 pub mod scan;

@@ -99,11 +99,6 @@ impl Rng {
         (radius * angle.cos()) as f32
     }
 
-    /// Returns a normal `f32` with the given mean and standard deviation.
-    pub fn next_normal_with(&mut self, mean: f32, std_dev: f32) -> f32 {
-        mean + std_dev * self.next_normal()
-    }
-
     /// Returns a uniform `f32` in `[low, high)`.
     ///
     /// # Panics

@@ -94,19 +94,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a tensor of uniform samples in `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `low > high`.
-    pub fn rand_uniform(shape: &[usize], low: f32, high: f32, rng: &mut Rng) -> Self {
-        let mut t = Tensor::zeros(shape);
-        for v in &mut t.data {
-            *v = rng.next_range(low, high);
-        }
-        t
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape

@@ -9,7 +9,7 @@
 //! `ResNet50`, `Transformer`, ... (default `VGG-13`).
 
 use mercury_accel::config::{AcceleratorConfig, Dataflow};
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::all_models;
 
 fn main() {
@@ -34,14 +34,14 @@ fn main() {
         Dataflow::WeightStationary,
         Dataflow::InputStationary,
     ] {
-        let cfg = ModelSimConfig {
+        let sim = ModelSim::new(ModelSimConfig {
             accelerator: AcceleratorConfig {
                 dataflow: flow,
                 ..AcceleratorConfig::paper_default()
             },
             ..ModelSimConfig::default()
-        };
-        let report = simulate_model(&spec, &cfg);
+        });
+        let report = sim.run(&spec);
         let total = report.total_cycles();
         println!(
             "{:<18} {:>14} {:>14} {:>7.2}x",

@@ -6,13 +6,12 @@
 //! cargo run --release --example vgg13_case_study
 //! ```
 
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_models::vgg13;
 
 fn main() {
     let spec = vgg13();
-    let cfg = ModelSimConfig::default();
-    let report = simulate_model(&spec, &cfg);
+    let report = ModelSim::new(ModelSimConfig::default()).run(&spec);
 
     println!("VGG-13 on MERCURY (row stationary, 168 PEs, 1024-entry 16-way MCACHE)");
     println!();

@@ -6,13 +6,12 @@
 //! sharded/threaded execution has to reduce to the same stats as the
 //! sequential reference for the same `mercury_tensor::rng` seed.
 
-use mercury_bench::{
-    simulate_model, simulate_model_serial, simulate_model_with_workers, ModelSimConfig,
-};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_core::{
     AttentionEngine, ConvEngine, FcEngine, LayerOp, MercuryConfig, MercurySession, ReuseEngine,
 };
 use mercury_models::{mobilenet_v2, transformer, vgg13};
+use mercury_tensor::exec::ExecutorKind;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 
@@ -150,48 +149,51 @@ fn model_simulation_is_bit_identical_for_equal_configs() {
         sampled_channels: 2,
         ..ModelSimConfig::default()
     };
-    let a = simulate_model(&vgg13(), &cfg);
-    let b = simulate_model(&vgg13(), &cfg);
+    let a = ModelSim::new(cfg).run(&vgg13());
+    let b = ModelSim::new(cfg).run(&vgg13());
     assert_eq!(a, b, "model-level simulation must be deterministic");
 
     let different_seed = ModelSimConfig {
         seed: cfg.seed ^ 1,
         ..cfg
     };
-    let c = simulate_model(&vgg13(), &different_seed);
+    let c = ModelSim::new(different_seed).run(&vgg13());
     assert_ne!(a, c, "simulation seed has no observable effect");
 }
 
 #[test]
 fn sharded_simulation_matches_serial_reference() {
-    // The sharded `simulate_model` distributes layers across threads; every
+    // A threaded `ModelSim` distributes layers across its pool; every
     // (layer, pass) is independently seeded, so the full per-layer report —
     // stats, cycle accounting, detection flags — must be bit-identical to
-    // the serial reference, for every model family (conv-heavy, depthwise,
-    // and attention).
+    // the serial backend, for every model family (conv-heavy, depthwise,
+    // and attention). Each simulator is held across all three models, so
+    // this also pins that a pool carries no state from one run to the next.
     let cfg = ModelSimConfig {
         sampled_channels: 2,
         ..ModelSimConfig::default()
     };
-    for spec in [vgg13(), mobilenet_v2(), transformer()] {
-        let serial = simulate_model_serial(&spec, &cfg);
-        // Pin an explicit multi-worker run: on single-core machines the
-        // auto-sized `simulate_model` would fall back to serial and this
-        // test would silently compare serial against itself.
-        for workers in [2, 4] {
-            let sharded = simulate_model_with_workers(&spec, &cfg, workers);
+    let models = [vgg13(), mobilenet_v2(), transformer()];
+    let run_all = |executor: ExecutorKind| {
+        let sim = ModelSim::new(ModelSimConfig { executor, ..cfg });
+        models.iter().map(|spec| sim.run(spec)).collect::<Vec<_>>()
+    };
+    let serial = run_all(ExecutorKind::Serial);
+    // Pin explicit multi-worker pools: on single-core machines the
+    // auto-sized default would fall back to serial and this test would
+    // silently compare serial against itself.
+    for executor in [
+        ExecutorKind::Threaded { threads: 2 },
+        ExecutorKind::Threaded { threads: 4 },
+        cfg.executor,
+    ] {
+        for (report, want) in run_all(executor).iter().zip(&serial) {
             assert_eq!(
-                sharded, serial,
-                "{}-worker and serial reports diverge for {}",
-                workers, spec.name
+                report, want,
+                "{executor:?} and serial reports diverge for {}",
+                want.name
             );
         }
-        let auto = simulate_model(&spec, &cfg);
-        assert_eq!(
-            auto, serial,
-            "auto-sized sharded report diverges for {}",
-            spec.name
-        );
     }
 }
 
@@ -199,9 +201,9 @@ fn sharded_simulation_matches_serial_reference() {
 fn sharded_simulation_bitwise_stable_across_runs() {
     // Thread scheduling must not leak into results: repeated sharded runs
     // agree exactly, including totals.
-    let cfg = ModelSimConfig::default();
-    let a = simulate_model(&mobilenet_v2(), &cfg);
-    let b = simulate_model(&mobilenet_v2(), &cfg);
+    let sim = ModelSim::new(ModelSimConfig::default());
+    let a = sim.run(&mobilenet_v2());
+    let b = sim.run(&mobilenet_v2());
     assert_eq!(a, b);
     assert_eq!(a.total_cycles(), b.total_cycles());
 }

@@ -3,7 +3,7 @@
 
 use mercury_accel::config::Dataflow;
 use mercury_accel::timing;
-use mercury_bench::{simulate_model, ModelSimConfig};
+use mercury_bench::{ModelSim, ModelSimConfig};
 use mercury_fpga::{baseline_power, baseline_resources, mercury_power, mercury_resources};
 use mercury_mcache::MCacheConfig;
 use mercury_models::{all_models, vgg13};
@@ -27,11 +27,11 @@ fn pipelined_signature_speedup_approaches_two() {
 /// paper's 1.97x.
 #[test]
 fn all_models_speed_up_with_papers_shape() {
-    let cfg = ModelSimConfig::default();
+    let sim = ModelSim::new(ModelSimConfig::default());
     let mut log_sum = 0.0;
     let mut count = 0;
     for spec in all_models() {
-        let s = simulate_model(&spec, &cfg).speedup();
+        let s = sim.run(&spec).speedup();
         assert!(s > 1.0, "{} must speed up, got {s}", spec.name);
         log_sum += s.ln();
         count += 1;
@@ -46,11 +46,11 @@ fn all_models_speed_up_with_papers_shape() {
 /// §VII-A: bigger networks save more (ResNet family ordering).
 #[test]
 fn bigger_resnets_save_more() {
-    let cfg = ModelSimConfig::default();
+    let sim = ModelSim::new(ModelSimConfig::default());
     let models = all_models();
     let speedup = |name: &str| {
         let spec = models.iter().find(|m| m.name == name).unwrap();
-        simulate_model(spec, &cfg).speedup()
+        sim.run(spec).speedup()
     };
     let r50 = speedup("ResNet50");
     let r101 = speedup("ResNet101");
@@ -66,7 +66,7 @@ fn dataflow_ordering_holds_at_model_level() {
     let speedup = |flow: Dataflow| {
         let mut cfg = ModelSimConfig::default();
         cfg.accelerator.dataflow = flow;
-        simulate_model(&spec, &cfg).speedup()
+        ModelSim::new(cfg).run(&spec).speedup()
     };
     let rs = speedup(Dataflow::RowStationary);
     let ws = speedup(Dataflow::WeightStationary);
@@ -84,7 +84,7 @@ fn cache_size_saturates() {
             cache: MCacheConfig::new(entries / 16, 16, 1).unwrap(),
             ..ModelSimConfig::default()
         };
-        simulate_model(&spec, &cfg).speedup()
+        ModelSim::new(cfg).run(&spec).speedup()
     };
     let s512 = speedup(512);
     let s1024 = speedup(1024);
@@ -117,17 +117,17 @@ fn fpga_overheads_match_table_four() {
 /// §III-D: adaptive stoppage never makes a model slower.
 #[test]
 fn stoppage_is_monotone_improvement() {
+    let base = ModelSim::new(ModelSimConfig {
+        adaptive: false,
+        ..ModelSimConfig::default()
+    });
+    let adaptive = ModelSim::new(ModelSimConfig {
+        adaptive: true,
+        ..ModelSimConfig::default()
+    });
     for spec in all_models() {
-        let base = ModelSimConfig {
-            adaptive: false,
-            ..ModelSimConfig::default()
-        };
-        let adaptive = ModelSimConfig {
-            adaptive: true,
-            ..ModelSimConfig::default()
-        };
-        let plain = simulate_model(&spec, &base).total_cycles().total();
-        let tuned = simulate_model(&spec, &adaptive).total_cycles().total();
+        let plain = base.run(&spec).total_cycles().total();
+        let tuned = adaptive.run(&spec).total_cycles().total();
         assert!(tuned <= plain, "{}: {tuned} > {plain}", spec.name);
     }
 }
