@@ -1,18 +1,21 @@
 //! Channel- and layer-level cycle simulation of convolution layers.
 //!
-//! The simulator consumes the per-input-vector HIT/MAU/MNU outcomes
-//! produced by probing MCACHE (the data-dependent part, computed by
-//! `mercury-core` with real tensors) and charges cycles according to the
-//! dataflow and design point:
+//! The simulator consumes each channel's HIT/MAU/MNU counts from probing
+//! MCACHE (the data-dependent part, computed by `mercury-core` with real
+//! tensors) and charges cycles according to the dataflow and design point:
 //!
-//! * **Row stationary** — PE sets own contiguous chunks of the input-vector
-//!   stream (Figure 10). Per filter, a chunk's cost is the sum of its
-//!   per-vector costs: `2x` cycles for a computed dot product, the MCACHE
-//!   read latency for a HIT. The synchronous design barriers all PE sets at
-//!   each filter; the asynchronous design lets PE sets run ahead through
-//!   the `M`-slot shared filter buffer (exact slot recurrence below) and
-//!   overlaps the next channel's signature generation with stragglers'
-//!   compute.
+//! * **Row stationary** — PE sets generate signatures for contiguous
+//!   chunks of the input-vector stream (Figure 10), so the signature phase
+//!   lasts as long as the largest chunk. Vectors then stream
+//!   work-conservingly across the sets: per filter, the array spends the
+//!   channel's total work — `2x` cycles for a computed dot product, the
+//!   MCACHE read latency for a HIT — divided by the set count. Cost
+//!   depends on how many vectors hit, never on where they fall. The
+//!   synchronous design barriers all PE sets at each filter; the
+//!   asynchronous design hides the filter change behind its `M`-slot
+//!   shared filter buffer (a single slot degenerates to the barrier). All
+//!   PE sets finish each channel together, so a layer's cycles are the
+//!   field-wise sum of its channels'.
 //! * **Weight stationary / input stationary** — first-order analytic
 //!   models (§IV of the paper describes the mechanisms qualitatively):
 //!   per-vector-per-filter dot cost of `x` cycles; signature bits ride the
@@ -26,13 +29,13 @@
 
 use crate::config::{AcceleratorConfig, Dataflow, Design};
 use crate::timing;
-use mercury_mcache::HitKind;
+use mercury_mcache::OutcomeMix;
 
 /// Work description for one channel of a convolution layer.
 #[derive(Debug, Clone)]
-pub struct ChannelWork<'a> {
-    /// Per-input-vector MCACHE outcomes, in stream order.
-    pub outcomes: &'a [HitKind],
+pub struct ChannelWork {
+    /// The channel's MCACHE outcome counts.
+    pub mix: OutcomeMix,
     /// Number of filters convolved with this channel's vectors.
     pub num_filters: usize,
     /// Kernel rows: input vectors are `x×x`.
@@ -42,22 +45,17 @@ pub struct ChannelWork<'a> {
     /// When true, signatures were saved by the forward pass and reloaded
     /// (backward-pass reuse, §III-C2): the signature phase costs nothing.
     pub signatures_precomputed: bool,
-    /// Same-set MCACHE insertion conflicts observed while building the
-    /// hitmap (serialized by the per-set queues, §V).
+    /// Same-set MCACHE insertion conflicts observed while probing
+    /// (serialized by the per-set queues, §V).
     pub insert_conflicts: u64,
 }
 
-impl<'a> ChannelWork<'a> {
+impl ChannelWork {
     /// Creates a channel work description with no precomputed signatures
     /// and no recorded insertion conflicts.
-    pub fn new(
-        outcomes: &'a [HitKind],
-        num_filters: usize,
-        x: usize,
-        signature_bits: usize,
-    ) -> Self {
+    pub fn new(mix: OutcomeMix, num_filters: usize, x: usize, signature_bits: usize) -> Self {
         ChannelWork {
-            outcomes,
+            mix,
             num_filters,
             x,
             signature_bits,
@@ -118,55 +116,26 @@ impl ChannelCycles {
     }
 }
 
-/// Splits `n` vectors into `sets` contiguous chunks (PE set `j` takes chunk
-/// `j`, Figure 10) and returns each chunk's vector index range.
-fn chunks(n: usize, sets: usize) -> Vec<(usize, usize)> {
-    let sets = sets.max(1);
-    let base = n / sets;
-    let extra = n % sets;
-    let mut ranges = Vec::with_capacity(sets);
-    let mut start = 0;
-    for j in 0..sets {
-        let len = base + usize::from(j < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// Cost in cycles for one PE set to process one vector for one filter.
-fn vector_cost(cfg: &AcceleratorConfig, outcome: HitKind, x: usize) -> u64 {
-    match outcome {
-        HitKind::Hit => cfg.timing.mcache_read_cycles,
-        // MAU writes its result into MCACHE; the write overlaps the final
-        // accumulate, so it is charged like a plain computed dot (MNU).
-        HitKind::Mau | HitKind::Mnu => timing::dot_product_cycles(x),
-    }
-}
-
-/// Simulates one channel under the configured dataflow, assuming all PE
-/// sets start idle (no cross-channel overlap). For layer-level async
-/// overlap use [`LayerSim`].
-pub fn simulate_channel(cfg: &AcceleratorConfig, work: &ChannelWork<'_>) -> ChannelCycles {
+/// Simulates one channel under the configured dataflow. A layer's
+/// accounting is the field-wise sum of its channels' (see [`LayerSim`]).
+pub fn simulate_channel(cfg: &AcceleratorConfig, work: &ChannelWork) -> ChannelCycles {
     let mut sim = LayerSim::new(*cfg);
     sim.push_channel(work);
     sim.finish()
 }
 
-/// Accumulating, overlap-aware simulator for a whole layer (a sequence of
-/// channels sharing the PE array).
+/// Accumulating simulator for a whole layer (a sequence of channels
+/// sharing the PE array).
 ///
-/// Tracks each PE set's availability so the asynchronous design can start
-/// the next channel's signature generation while slower PE sets drain the
-/// previous channel — the paper's double-input-buffer behaviour.
+/// Every channel ends with all PE sets finishing together, so one clock —
+/// the cycle at which the array goes idle — is the whole state carried
+/// from one channel to the next.
 #[derive(Debug, Clone)]
 pub struct LayerSim {
     cfg: AcceleratorConfig,
-    /// Per-PE-set availability time (cycle at which the set goes idle).
-    avail: Vec<u64>,
+    /// Cycle at which the PE array goes idle.
+    clock: u64,
     totals: ChannelCycles,
-    /// Wall-clock start of the current layer (always 0 for a fresh sim).
-    started: bool,
 }
 
 impl LayerSim {
@@ -174,14 +143,13 @@ impl LayerSim {
     pub fn new(cfg: AcceleratorConfig) -> Self {
         LayerSim {
             cfg,
-            avail: Vec::new(),
+            clock: 0,
             totals: ChannelCycles::default(),
-            started: false,
         }
     }
 
     /// Queues one channel of work and updates cycle accounting.
-    pub fn push_channel(&mut self, work: &ChannelWork<'_>) {
+    pub fn push_channel(&mut self, work: &ChannelWork) {
         match self.cfg.dataflow {
             Dataflow::RowStationary => self.push_row_stationary(work),
             Dataflow::WeightStationary => self.push_analytic(work, AnalyticFlow::Ws),
@@ -190,67 +158,43 @@ impl LayerSim {
     }
 
     /// Finishes the layer and returns the accumulated accounting. The
-    /// `compute` field reflects the wall-clock critical path; `signature`
-    /// the (possibly overlapped) signature work on that path.
+    /// `compute` field is the part of the critical path not booked as
+    /// signature time.
     pub fn finish(mut self) -> ChannelCycles {
-        if let Some(&end) = self.avail.iter().max() {
-            // Wall-clock total is the latest PE-set completion; attribute
-            // the portion not already booked as signature time to compute.
-            let booked = self.totals.signature;
-            self.totals.compute = end.saturating_sub(booked);
-        }
+        self.totals.compute = self.clock - self.totals.signature;
         self.totals
     }
 
-    fn push_row_stationary(&mut self, work: &ChannelWork<'_>) {
+    fn push_row_stationary(&mut self, work: &ChannelWork) {
         let x = work.x.max(1);
-        let sets = self.cfg.pe_sets(x);
-        if !self.started {
-            self.avail = vec![0; sets];
-            self.started = true;
-        } else if self.avail.len() != sets {
-            // Kernel size changed mid-layer (does not happen in practice);
-            // re-barrier everything.
-            let end = self.avail.iter().copied().max().unwrap_or(0);
-            self.avail = vec![end; sets];
-        }
-
-        let ranges = chunks(work.outcomes.len(), sets);
+        let sets = self.cfg.pe_sets(x) as u64;
+        let mix = work.mix;
+        let n = mix.total() as u64;
 
         // ---- Signature phase -------------------------------------------
         // Each PE set computes `signature_bits` bits for every vector in
         // its chunk, pipelined (2x+1 for the first bit, x for the rest).
-        // Under the asynchronous design a set starts as soon as it is
-        // free; under the synchronous design all sets start together.
-        let sync_start = self.avail.iter().copied().max().unwrap_or(0);
-        let mut sig_end = vec![0u64; sets];
-        let mut sig_work_total = 0u64;
-        for (j, &(s, e)) in ranges.iter().enumerate() {
-            let bit_count = (e - s) * work.signature_bits;
-            let sig_cost = if work.signatures_precomputed {
-                0
-            } else {
-                timing::signature_cycles(x, bit_count, true)
-            };
-            sig_work_total = sig_work_total.max(sig_cost);
-            let start = match self.cfg.design {
-                Design::Synchronous => sync_start,
-                Design::Asynchronous { .. } => self.avail[j],
-            };
-            sig_end[j] = start + sig_cost;
-        }
+        // The sets start together, so the largest chunk sets the span.
+        let sig = if work.signatures_precomputed {
+            0
+        } else {
+            let largest_chunk = n.div_ceil(sets) as usize;
+            timing::signature_cycles(x, largest_chunk * work.signature_bits, true)
+        };
 
         // Hitmap resolution is global: compute starts once every set has
         // produced its signatures and the per-set insertion queues have
         // drained the conflicting inserts.
         let conflict_cycles = work.insert_conflicts * self.cfg.timing.mcache_insert_conflict_cycles;
-        let compute_start = sig_end.iter().copied().max().unwrap_or(sync_start) + conflict_cycles;
-        self.totals.signature += sig_work_total + conflict_cycles;
+        self.totals.signature += sig + conflict_cycles;
 
         // ---- Compute phase ----------------------------------------------
         // Input vectors stream dynamically into PE-set input buffers (a
         // set that drains its buffer fetches more), so per-filter work is
-        // work-conserving: `total_work / sets` per filter.
+        // work-conserving: `total_work / sets` per filter. A HIT costs one
+        // MCACHE read; an MAU writes its result into MCACHE, but the write
+        // overlaps the final accumulate, so it is charged like a plain
+        // computed dot (MNU).
         //
         // The synchronous design additionally barriers all PE sets at
         // every filter change (VD flash-clear waits for the slowest set to
@@ -258,46 +202,35 @@ impl LayerSim {
         // design hides the filter change behind its shared M-filter buffer
         // and double input buffers (≥2 slots required — a single slot
         // degenerates to the synchronous barrier).
-        // One pass over the outcomes serves both the work sum and the
-        // reuse bookkeeping: per-vector cost depends only on the outcome
-        // kind, so the sum factors through the kind counts exactly.
-        let (hits, maus, mnus) = count_kinds(work.outcomes);
-        let total_work: u64 = hits as u64 * vector_cost(&self.cfg, HitKind::Hit, x)
-            + (maus + mnus) as u64 * vector_cost(&self.cfg, HitKind::Mnu, x);
+        let dot = timing::dot_product_cycles(x);
+        let total_work =
+            mix.hits as u64 * self.cfg.timing.mcache_read_cycles + mix.computed() as u64 * dot;
         let f_count = work.num_filters.max(1) as u64;
-        let per_filter = total_work.div_ceil(sets as u64);
+        let per_filter = total_work.div_ceil(sets);
 
         let barriered = match self.cfg.design {
             Design::Synchronous => true,
             Design::Asynchronous { filter_slots } => filter_slots < 2,
         };
-        let barrier_overhead = if barriered {
-            timing::dot_product_cycles(x)
-        } else {
-            0
-        };
-        let span = f_count * (per_filter + barrier_overhead);
-        for avail in self.avail.iter_mut() {
-            *avail = compute_start + span;
-        }
+        let barrier_overhead = if barriered { dot } else { 0 };
+        self.clock += sig + conflict_cycles + f_count * (per_filter + barrier_overhead);
 
         // ---- Bookkeeping -------------------------------------------------
-        self.totals.reused_dots += hits as u64 * f_count;
-        self.totals.computed_dots += (maus + mnus) as u64 * f_count;
+        self.totals.reused_dots += mix.hits as u64 * f_count;
+        self.totals.computed_dots += mix.computed() as u64 * f_count;
 
         // Baseline: the plain accelerator computes every dot product under
         // the same work-conserving streaming, with no signature phase.
-        let n = work.outcomes.len() as u64;
-        self.totals.baseline += f_count * (n * timing::dot_product_cycles(x)).div_ceil(sets as u64);
+        self.totals.baseline += f_count * (n * dot).div_ceil(sets);
     }
 
     /// First-order analytic models for the weight- and input-stationary
     /// dataflows (see module docs for the cost constants).
-    fn push_analytic(&mut self, work: &ChannelWork<'_>, flow: AnalyticFlow) {
+    fn push_analytic(&mut self, work: &ChannelWork, flow: AnalyticFlow) {
         let x = work.x.max(1) as u64;
-        let (hits, maus, mnus) = count_kinds(work.outcomes);
-        let n = work.outcomes.len() as u64;
-        let unique = (maus + mnus) as u64;
+        let hits = work.mix.hits as u64;
+        let n = work.mix.total() as u64;
+        let unique = work.mix.computed() as u64;
         let f = work.num_filters.max(1) as u64;
         // The array processes `pe_sets(x)` vector streams concurrently in
         // either dataflow; normalize by the same parallelism so RS/WS/IS
@@ -326,22 +259,19 @@ impl LayerSim {
         let sig = if work.signatures_precomputed {
             0
         } else {
-            div_ceil(n * work.signature_bits as u64 * sig_per_bit, par)
+            (n * work.signature_bits as u64 * sig_per_bit).div_ceil(par)
         };
         let conflict_cycles = work.insert_conflicts * self.cfg.timing.mcache_insert_conflict_cycles;
         // Per-(vector, filter) dot cost is x cycles in these dataflows: the
         // x-element rows stream while x PEs (one per row) work in parallel.
-        let compute = div_ceil(unique * f * x + hits as u64 * hit_cost, par);
-        let baseline = div_ceil(n * f * x, par);
+        let compute = (unique * f * x + hits * hit_cost).div_ceil(par);
+        let baseline = (n * f * x).div_ceil(par);
 
-        let start = self.avail.iter().copied().max().unwrap_or(0);
-        let end = start + sig + conflict_cycles + compute;
-        self.avail = vec![end];
-        self.started = true;
+        self.clock += sig + conflict_cycles + compute;
 
         self.totals.signature += sig + conflict_cycles;
         self.totals.baseline += baseline;
-        self.totals.reused_dots += hits as u64 * f;
+        self.totals.reused_dots += hits * f;
         self.totals.computed_dots += unique * f;
     }
 }
@@ -350,24 +280,6 @@ impl LayerSim {
 enum AnalyticFlow {
     Ws,
     Is,
-}
-
-fn count_kinds(outcomes: &[HitKind]) -> (usize, usize, usize) {
-    let mut h = 0;
-    let mut ma = 0;
-    let mut mn = 0;
-    for &o in outcomes {
-        match o {
-            HitKind::Hit => h += 1,
-            HitKind::Mau => ma += 1,
-            HitKind::Mnu => mn += 1,
-        }
-    }
-    (h, ma, mn)
-}
-
-fn div_ceil(a: u64, b: u64) -> u64 {
-    a.div_ceil(b.max(1))
 }
 
 #[cfg(test)]
@@ -384,39 +296,16 @@ mod tests {
         }
     }
 
-    /// Builds an outcome stream with hits interleaved among misses, the way
-    /// similar patches are spread through a real feature map (so PE-set
-    /// chunks see comparable hit mixes).
-    fn outcomes(hits: usize, maus: usize, mnus: usize) -> Vec<HitKind> {
-        let total = hits + maus + mnus;
-        let mut v = Vec::with_capacity(total);
-        let (mut h, mut ma, mut mn) = (0usize, 0usize, 0usize);
-        for i in 0..total {
-            // Interleave proportionally by comparing filled fractions.
-            let want_hit = (h * total) < (hits * (i + 1));
-            if want_hit && h < hits {
-                v.push(HitKind::Hit);
-                h += 1;
-            } else if ma < maus {
-                v.push(HitKind::Mau);
-                ma += 1;
-            } else if mn < mnus {
-                v.push(HitKind::Mnu);
-                mn += 1;
-            } else {
-                v.push(HitKind::Hit);
-                h += 1;
-            }
-        }
-        v
+    fn mix(hits: usize, maus: usize, mnus: usize) -> OutcomeMix {
+        OutcomeMix { hits, maus, mnus }
     }
 
     #[test]
     fn all_misses_cost_more_than_baseline() {
         // With zero reuse, MERCURY pays the signature overhead for nothing.
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcomes(0, 8, 4);
-        let work = ChannelWork::new(&o, 4, 3, 20);
+        let o = mix(0, 8, 4);
+        let work = ChannelWork::new(o, 4, 3, 20);
         let cycles = simulate_channel(&c, &work);
         assert!(cycles.total() > cycles.baseline);
         assert_eq!(cycles.reused_dots, 0);
@@ -428,8 +317,8 @@ mod tests {
         // Realistic filter count: the signature phase amortizes over the
         // filters the way it does in real conv layers.
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcomes(28, 4, 0); // 87.5% hits
-        let work = ChannelWork::new(&o, 64, 3, 20);
+        let o = mix(28, 4, 0); // 87.5% hits
+        let work = ChannelWork::new(o, 64, 3, 20);
         let cycles = simulate_channel(&c, &work);
         assert!(
             cycles.speedup() > 1.3,
@@ -443,11 +332,11 @@ mod tests {
     #[test]
     fn precomputed_signatures_remove_signature_cost() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcomes(8, 4, 0);
-        let with_sig = simulate_channel(&c, &ChannelWork::new(&o, 8, 3, 20));
+        let o = mix(8, 4, 0);
+        let with_sig = simulate_channel(&c, &ChannelWork::new(o, 8, 3, 20));
         let without_sig = simulate_channel(
             &c,
-            &ChannelWork::new(&o, 8, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 8, 3, 20).with_precomputed_signatures(),
         );
         assert!(without_sig.signature < with_sig.signature);
         assert_eq!(without_sig.signature, 0);
@@ -457,27 +346,41 @@ mod tests {
     #[test]
     fn baseline_matches_closed_form() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcomes(0, 12, 0); // 12 vectors over 4 PE sets = 3 each
-        let work = ChannelWork::new(&o, 5, 3, 20);
+        let o = mix(0, 12, 0); // 12 vectors over 4 PE sets = 3 each
+        let work = ChannelWork::new(o, 5, 3, 20);
         let cycles = simulate_channel(&c, &work);
         // baseline = filters × chunk × 2x = 5 × 3 × 6 = 90
         assert_eq!(cycles.baseline, 90);
     }
 
     #[test]
+    fn fewer_vectors_than_pe_sets_leave_sets_idle() {
+        // 3 vectors over 4 PE sets: one chunk is empty, the largest holds
+        // one vector.
+        let c = cfg(Design::Synchronous, Dataflow::RowStationary);
+        let cycles = simulate_channel(&c, &ChannelWork::new(mix(0, 3, 0), 5, 3, 20));
+        // baseline = filters × ceil(3 × 6 / 4) = 5 × 5
+        assert_eq!(cycles.baseline, 25);
+        // signature = one vector's 20 pipelined bits = (2·3+1) + 3·19
+        assert_eq!(cycles.signature, 64);
+        // compute = filters × (ceil(18 / 4) + one barrier drain of 6)
+        assert_eq!(cycles.compute, 5 * (5 + 6));
+    }
+
+    #[test]
     fn async_never_slower_than_sync() {
         for (h, m) in [(20, 4), (10, 14), (2, 22), (0, 24)] {
-            let o = outcomes(h, m, 0);
+            let o = mix(h, m, 0);
             let sync = simulate_channel(
                 &cfg(Design::Synchronous, Dataflow::RowStationary),
-                &ChannelWork::new(&o, 8, 3, 20),
+                &ChannelWork::new(o, 8, 3, 20),
             );
             let asyn = simulate_channel(
                 &cfg(
                     Design::Asynchronous { filter_slots: 4 },
                     Dataflow::RowStationary,
                 ),
-                &ChannelWork::new(&o, 8, 3, 20),
+                &ChannelWork::new(o, 8, 3, 20),
             );
             assert!(
                 asyn.total() <= sync.total(),
@@ -490,21 +393,21 @@ mod tests {
 
     #[test]
     fn async_overlaps_signatures_across_channels() {
-        // Two channels with skewed chunks: under async, fast PE sets start
-        // the next channel's signatures early.
-        let o1 = outcomes(9, 3, 0);
-        let o2 = outcomes(9, 3, 0);
+        // Two channels: async drops the per-filter barrier in each, and
+        // both designs charge the same baseline.
+        let o1 = mix(9, 3, 0);
+        let o2 = mix(9, 3, 0);
         let mut sync_sim = LayerSim::new(cfg(Design::Synchronous, Dataflow::RowStationary));
-        sync_sim.push_channel(&ChannelWork::new(&o1, 8, 3, 20));
-        sync_sim.push_channel(&ChannelWork::new(&o2, 8, 3, 20));
+        sync_sim.push_channel(&ChannelWork::new(o1, 8, 3, 20));
+        sync_sim.push_channel(&ChannelWork::new(o2, 8, 3, 20));
         let sync = sync_sim.finish();
 
         let mut async_sim = LayerSim::new(cfg(
             Design::Asynchronous { filter_slots: 4 },
             Dataflow::RowStationary,
         ));
-        async_sim.push_channel(&ChannelWork::new(&o1, 8, 3, 20));
-        async_sim.push_channel(&ChannelWork::new(&o2, 8, 3, 20));
+        async_sim.push_channel(&ChannelWork::new(o1, 8, 3, 20));
+        async_sim.push_channel(&ChannelWork::new(o2, 8, 3, 20));
         let asyn = async_sim.finish();
 
         assert!(asyn.total() <= sync.total());
@@ -515,17 +418,17 @@ mod tests {
     fn single_slot_async_equals_sync_compute() {
         // An async design with one filter slot degenerates to the per-filter
         // barrier of the synchronous design.
-        let o = outcomes(6, 6, 0);
+        let o = mix(6, 6, 0);
         let sync = simulate_channel(
             &cfg(Design::Synchronous, Dataflow::RowStationary),
-            &ChannelWork::new(&o, 6, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 6, 3, 20).with_precomputed_signatures(),
         );
         let asyn1 = simulate_channel(
             &cfg(
                 Design::Asynchronous { filter_slots: 1 },
                 Dataflow::RowStationary,
             ),
-            &ChannelWork::new(&o, 6, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 6, 3, 20).with_precomputed_signatures(),
         );
         assert_eq!(sync.total(), asyn1.total());
     }
@@ -533,23 +436,21 @@ mod tests {
     #[test]
     fn insert_conflicts_add_cycles() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcomes(4, 4, 0);
-        let plain = simulate_channel(&c, &ChannelWork::new(&o, 4, 3, 20));
-        let congested = simulate_channel(
-            &c,
-            &ChannelWork::new(&o, 4, 3, 20).with_insert_conflicts(10),
-        );
+        let o = mix(4, 4, 0);
+        let plain = simulate_channel(&c, &ChannelWork::new(o, 4, 3, 20));
+        let congested =
+            simulate_channel(&c, &ChannelWork::new(o, 4, 3, 20).with_insert_conflicts(10));
         assert_eq!(congested.total(), plain.total() + 10);
     }
 
     #[test]
     fn ws_and_is_models_give_reuse_speedups() {
-        let o = outcomes(70, 30, 0);
+        let o = mix(70, 30, 0);
         for flow in [Dataflow::WeightStationary, Dataflow::InputStationary] {
             let c = cfg(Design::Synchronous, flow);
             // Signature costs in these dataflows amortize over the filter
             // count; 256 filters is the regime of the paper's larger layers.
-            let cycles = simulate_channel(&c, &ChannelWork::new(&o, 256, 3, 20));
+            let cycles = simulate_channel(&c, &ChannelWork::new(o, 256, 3, 20));
             assert!(
                 cycles.speedup() > 1.0,
                 "{flow} should speed up with 70% hits, got {}",
@@ -562,10 +463,10 @@ mod tests {
     fn row_stationary_beats_ws_beats_is() {
         // The paper's ordering of dataflow benefits (Fig 14c vs Fig 18):
         // RS ~1.97x, WS ~1.66x, IS ~1.55x at paper-scale layers.
-        let o = outcomes(55, 45, 0);
+        let o = mix(55, 45, 0);
         let speedup = |flow| {
             let c = cfg(Design::Asynchronous { filter_slots: 4 }, flow);
-            simulate_channel(&c, &ChannelWork::new(&o, 256, 3, 20)).speedup()
+            simulate_channel(&c, &ChannelWork::new(o, 256, 3, 20)).speedup()
         };
         let rs = speedup(Dataflow::RowStationary);
         let ws = speedup(Dataflow::WeightStationary);
@@ -594,8 +495,7 @@ mod tests {
     #[test]
     fn empty_channel_is_free() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o: Vec<HitKind> = vec![];
-        let cycles = simulate_channel(&c, &ChannelWork::new(&o, 4, 3, 20));
+        let cycles = simulate_channel(&c, &ChannelWork::new(mix(0, 0, 0), 4, 3, 20));
         assert_eq!(cycles.baseline, 0);
         assert_eq!(cycles.reused_dots, 0);
     }

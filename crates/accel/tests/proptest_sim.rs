@@ -2,26 +2,13 @@
 
 use mercury_accel::config::{AcceleratorConfig, Dataflow, Design};
 use mercury_accel::fc::{simulate_fc, FcWork};
-use mercury_accel::sim::{simulate_channel, ChannelWork};
+use mercury_accel::sim::{simulate_channel, ChannelCycles, ChannelWork, LayerSim};
 use mercury_accel::timing;
-use mercury_mcache::HitKind;
+use mercury_mcache::OutcomeMix;
 use proptest::prelude::*;
 
-fn outcome_vec(hits: usize, maus: usize, mnus: usize) -> Vec<HitKind> {
-    let mut v = Vec::new();
-    let total = hits + maus + mnus;
-    for i in 0..total {
-        v.push(if i % 3 == 0 && i / 3 < hits {
-            HitKind::Hit
-        } else if v.iter().filter(|&&o| o == HitKind::Mau).count() < maus {
-            HitKind::Mau
-        } else if v.iter().filter(|&&o| o == HitKind::Hit).count() < hits {
-            HitKind::Hit
-        } else {
-            HitKind::Mnu
-        });
-    }
-    v
+fn mix(hits: usize, maus: usize, mnus: usize) -> OutcomeMix {
+    OutcomeMix { hits, maus, mnus }
 }
 
 fn cfg(design: Design, dataflow: Dataflow) -> AcceleratorConfig {
@@ -36,6 +23,47 @@ fn cfg(design: Design, dataflow: Dataflow) -> AcceleratorConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// A layer costs exactly the field-wise sum of its channels, in every
+    /// dataflow and design: all PE sets finish each channel together, so
+    /// no channel's cost depends on its predecessors — which is what makes
+    /// outcome counts a sufficient input to the model. Channels may hold
+    /// fewer vectors than there are PE sets, or none at all.
+    #[test]
+    fn layer_is_the_sum_of_its_channels(
+        channels in proptest::collection::vec((0usize..40, 0usize..40, 0usize..40, 0u64..5), 1..6),
+        filters in 1usize..24,
+        x in 1usize..6,
+        pes_idx in 0usize..4,
+        precomputed in 0usize..2,
+    ) {
+        let num_pes = [12, 168, 2, 7][pes_idx];
+        for dataflow in [
+            Dataflow::RowStationary,
+            Dataflow::WeightStationary,
+            Dataflow::InputStationary,
+        ] {
+            for design in [
+                Design::Synchronous,
+                Design::Asynchronous { filter_slots: 4 },
+                Design::Asynchronous { filter_slots: 1 },
+            ] {
+                let c = AcceleratorConfig { num_pes, ..cfg(design, dataflow) };
+                let mut layer = LayerSim::new(c);
+                let mut sum = ChannelCycles::default();
+                for &(hits, maus, mnus, conflicts) in &channels {
+                    let mut work = ChannelWork::new(mix(hits, maus, mnus), filters, x, 20)
+                        .with_insert_conflicts(conflicts);
+                    if precomputed == 1 {
+                        work = work.with_precomputed_signatures();
+                    }
+                    layer.push_channel(&work);
+                    sum.accumulate(&simulate_channel(&c, &work));
+                }
+                prop_assert_eq!(layer.finish(), sum);
+            }
+        }
+    }
+
     /// More hits never cost more cycles, all else equal.
     #[test]
     fn hits_are_monotone_improvements(
@@ -46,9 +74,9 @@ proptest! {
         let c = cfg(Design::Asynchronous { filter_slots: 4 }, Dataflow::RowStationary);
         let mut previous = u64::MAX;
         for hits in [0, total / 4, total / 2, 3 * total / 4, total] {
-            let o = outcome_vec(hits, total - hits, 0);
+            let o = mix(hits, total - hits, 0);
             let cycles =
-                simulate_channel(&c, &ChannelWork::new(&o, filters, x, 20));
+                simulate_channel(&c, &ChannelWork::new(o, filters, x, 20));
             prop_assert!(
                 cycles.total() <= previous,
                 "hits {hits}: {} > previous {previous}",
@@ -66,14 +94,14 @@ proptest! {
         filters in 1usize..24,
         x in 1usize..6,
     ) {
-        let o = outcome_vec(hits, misses, 0);
+        let o = mix(hits, misses, 0);
         let sync = simulate_channel(
             &cfg(Design::Synchronous, Dataflow::RowStationary),
-            &ChannelWork::new(&o, filters, x, 20),
+            &ChannelWork::new(o, filters, x, 20),
         );
         let asyn = simulate_channel(
             &cfg(Design::Asynchronous { filter_slots: 4 }, Dataflow::RowStationary),
-            &ChannelWork::new(&o, filters, x, 20),
+            &ChannelWork::new(o, filters, x, 20),
         );
         prop_assert!(asyn.total() <= sync.total());
         prop_assert_eq!(asyn.baseline, sync.baseline);
@@ -94,11 +122,11 @@ proptest! {
             Dataflow::InputStationary,
         ][flow_idx];
         let c = cfg(Design::Synchronous, flow);
-        let o = outcome_vec(hits, misses, 0);
-        let fresh = simulate_channel(&c, &ChannelWork::new(&o, filters, 3, 20));
+        let o = mix(hits, misses, 0);
+        let fresh = simulate_channel(&c, &ChannelWork::new(o, filters, 3, 20));
         let reloaded = simulate_channel(
             &c,
-            &ChannelWork::new(&o, filters, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, filters, 3, 20).with_precomputed_signatures(),
         );
         prop_assert!(reloaded.total() <= fresh.total());
         prop_assert_eq!(reloaded.signature, 0);
@@ -114,13 +142,13 @@ proptest! {
     ) {
         let hits = hits.min(total);
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o1 = outcome_vec(hits, total - hits, 0);
-        let o2 = outcome_vec(0, total, 0);
-        let b1 = simulate_channel(&c, &ChannelWork::new(&o1, filters, 3, 20)).baseline;
-        let b2 = simulate_channel(&c, &ChannelWork::new(&o2, filters, 3, 20)).baseline;
+        let o1 = mix(hits, total - hits, 0);
+        let o2 = mix(0, total, 0);
+        let b1 = simulate_channel(&c, &ChannelWork::new(o1, filters, 3, 20)).baseline;
+        let b2 = simulate_channel(&c, &ChannelWork::new(o2, filters, 3, 20)).baseline;
         prop_assert_eq!(b1, b2);
         let b_double =
-            simulate_channel(&c, &ChannelWork::new(&o1, filters * 2, 3, 20)).baseline;
+            simulate_channel(&c, &ChannelWork::new(o1, filters * 2, 3, 20)).baseline;
         prop_assert_eq!(b_double, 2 * b1);
     }
 
@@ -134,8 +162,8 @@ proptest! {
         len in 1usize..64,
     ) {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o = outcome_vec(hits, misses, 0);
-        let r = simulate_fc(&c, &FcWork::new(&o, weights, len, 20));
+        let o = mix(hits, misses, 0);
+        let r = simulate_fc(&c, &FcWork::new(o, weights, len, 20));
         let n = (hits + misses) as u64;
         prop_assert_eq!(r.reused_dots + r.computed_dots, n * weights as u64);
         let expected_baseline =

@@ -2,8 +2,10 @@
 //!
 //! The synchronous design barriers every PE set at each filter change;
 //! the asynchronous design hides the change behind double input buffers
-//! and the shared M-filter buffer. The paper motivates the asynchronous
-//! design qualitatively; this ablation quantifies it per model.
+//! and the shared M-filter buffer. In the cycle model all PE sets finish
+//! each channel together, so the asynchronous gain is the per-filter
+//! barrier alone. The paper motivates the asynchronous design
+//! qualitatively; this ablation quantifies it per model.
 
 use mercury_accel::config::{AcceleratorConfig, Design};
 use mercury_bench::{ModelSim, ModelSimConfig};

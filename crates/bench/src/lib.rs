@@ -31,11 +31,11 @@ use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_core::stats::{LayerStats, RunReport};
-use mercury_mcache::{MCache, MCacheConfig};
+use mercury_mcache::{MCache, MCacheConfig, OutcomeMix};
 use mercury_models::{LayerSpec, ModelSpec};
 use mercury_tensor::exec::{Executor, ExecutorKind};
 use mercury_tensor::rng::Rng;
-use mercury_workloads::stream::{OutcomeMix, VectorStream};
+use mercury_workloads::stream::VectorStream;
 
 /// Configuration of a model-level simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,14 +152,12 @@ fn simulate_conv_layer(
     for _ in 0..sampled {
         let (outcomes, conflicts) = stream.probe(cache, rng);
         let mix = OutcomeMix::from_outcomes(&outcomes);
-        stats.hits += mix.hits as u64;
-        stats.maus += mix.maus as u64;
-        stats.mnus += mix.mnus as u64;
+        stats.add_outcomes(mix);
         // "Unique vectors" as the hardware observes them: distinct
         // signatures resident in MCACHE (Figure 15c counts hundreds per
         // layer against tens of thousands of patches).
         stats.unique_vectors += mix.maus as u64;
-        let mut work = ChannelWork::new(&outcomes, filters, *kernel, cfg.signature_bits)
+        let mut work = ChannelWork::new(mix, filters, *kernel, cfg.signature_bits)
             .with_insert_conflicts(conflicts);
         if signatures_precomputed {
             work = work.with_precomputed_signatures();
@@ -186,30 +184,24 @@ fn simulate_dense_layer(
     let (outcomes, _) = stream.probe(cache, rng);
     let mix = OutcomeMix::from_outcomes(&outcomes);
     let mut stats = LayerStats {
-        hits: mix.hits as u64,
-        maus: mix.maus as u64,
-        mnus: mix.mnus as u64,
         unique_vectors: mix.maus as u64,
         detection_enabled: true,
         ..LayerStats::default()
     };
+    stats.add_outcomes(mix);
     stats.cycles = match layer {
         LayerSpec::Fc {
             inputs, outputs, ..
         } => {
-            let mut work = FcWork::new(&outcomes, *outputs, *inputs, cfg.signature_bits);
+            let mut work = FcWork::new(mix, *outputs, *inputs, cfg.signature_bits);
             if signatures_precomputed {
                 work = work.with_precomputed_signatures();
             }
             simulate_fc(&cfg.accelerator, &work)
         }
-        LayerSpec::Attention { seq_len, dim, .. } => simulate_attention(
-            &cfg.accelerator,
-            &outcomes,
-            *seq_len,
-            *dim,
-            cfg.signature_bits,
-        ),
+        LayerSpec::Attention { seq_len, dim, .. } => {
+            simulate_attention(&cfg.accelerator, mix, *seq_len, *dim, cfg.signature_bits)
+        }
         LayerSpec::Conv { .. } => unreachable!("dense layer expected"),
     };
     stats

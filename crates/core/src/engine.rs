@@ -4,7 +4,7 @@ use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatu
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
 use mercury_accel::sim::{ChannelWork, LayerSim};
-use mercury_mcache::{AccessOutcome, EntryId, HitKind};
+use mercury_mcache::{AccessOutcome, EntryId, HitKind, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
 use mercury_tensor::conv::{extract_patches_into, ConvGeometry};
@@ -170,8 +170,14 @@ impl ConvEngine {
             None
         };
 
-        let bits = self.base.signature_bits;
         let detection = self.base.detection_enabled;
+        // Signature bits the cycle model charges per vector: none while
+        // detection is off.
+        let bits = if detection {
+            self.base.signature_bits
+        } else {
+            0
+        };
         let exec = self.base.exec.clone();
 
         // ---- Per-channel execution ---------------------------------------
@@ -314,42 +320,18 @@ impl ConvEngine {
                 }
             }
 
-            if !detection {
-                let work = ChannelWork::new(&out.outcomes, f, kh, 0);
-                sim.push_channel(&work);
-                stats.mnus += patches_n as u64;
-                stats.unique_vectors += out.unique;
-                saved_out.push(Vec::new());
-                continue;
-            }
-
             // Statistics report the raw probe outcomes (cross-pass repeats
             // are HITs — the similarity the hardware observed); the cycle
-            // simulator is charged with promoted producers flipped to MAU,
-            // since those vectors computed and wrote rather than reused.
-            let mut hits = 0u64;
-            let mut maus = 0u64;
-            let mut mnus = 0u64;
-            for &kind in &out.outcomes {
-                match kind {
-                    HitKind::Hit => hits += 1,
-                    HitKind::Mau => maus += 1,
-                    HitKind::Mnu => mnus += 1,
-                }
-            }
-            let mut sim_outcomes = out.outcomes;
-            for &v in &out.stale_producers {
-                sim_outcomes[v] = HitKind::Mau;
-            }
-            let mut work =
-                ChannelWork::new(&sim_outcomes, f, kh, bits).with_insert_conflicts(out.conflicts);
+            // simulator charges promoted producers as MAUs, since those
+            // vectors computed and wrote rather than reused. With detection
+            // off every vector is an MNU and no signature bit is generated.
+            let mut work = ChannelWork::new(out.mix.promote_hits(out.promoted), f, kh, bits)
+                .with_insert_conflicts(out.conflicts);
             if reuse_saved {
                 work = work.with_precomputed_signatures();
             }
             sim.push_channel(&work);
-            stats.hits += hits;
-            stats.maus += maus;
-            stats.mnus += mnus;
+            stats.add_outcomes(out.mix);
             stats.unique_vectors += out.unique;
             if let Some(s) = out.sigs {
                 saved_out.push(s);
@@ -473,13 +455,13 @@ struct ConvScratch {
 }
 
 /// Everything one channel reports to the deterministic reduce besides its
-/// output block: the raw probe outcomes, the promoted stale-hit producers
-/// (flipped to MAU for the cycle simulator), the insertion-conflict
-/// count, the distinct-signature count, and the signatures to save
-/// (`None` when saved signatures were reused).
+/// output block: the raw probe outcome counts, how many of its HITs were
+/// promoted to producers (charged as MAUs by the cycle simulator), the
+/// insertion-conflict count, the distinct-signature count, and the
+/// signatures to save (`None` when saved signatures were reused).
 struct ChannelOut {
-    outcomes: Vec<HitKind>,
-    stale_producers: Vec<usize>,
+    mix: OutcomeMix,
+    promoted: usize,
     conflicts: u64,
     unique: u64,
     sigs: Option<Vec<Signature>>,
@@ -562,8 +544,11 @@ fn conv_channel(
             dest.copy_from_slice(&scratch.contrib_t);
         }
         return Ok(ChannelOut {
-            outcomes: vec![HitKind::Mnu; patches_n],
-            stale_producers: Vec::new(),
+            mix: OutcomeMix {
+                mnus: patches_n,
+                ..OutcomeMix::default()
+            },
+            promoted: 0,
             conflicts: 0,
             unique: patches_n as u64,
             sigs: Some(Vec::new()),
@@ -615,12 +600,14 @@ fn conv_channel(
     let cache_entries = cache.total_entries();
     scratch.groups.clear();
     scratch.compute_rows.clear();
-    let mut stale_producers: Vec<usize> = Vec::new();
+    let mut mix = OutcomeMix::default();
+    let mut promoted = 0;
     scratch.entry_row.resize(cache_entries, u32::MAX);
     scratch.entry_group.resize(cache_entries, u32::MAX);
     scratch.entry_row[..cache_entries].fill(u32::MAX);
     scratch.entry_group[..cache_entries].fill(u32::MAX);
     for (v, outcome) in outcomes.iter().enumerate() {
+        mix.record(outcome.kind);
         match outcome.kind {
             HitKind::Hit => {
                 let entry = outcome.entry.expect("hit entries resolve");
@@ -637,7 +624,7 @@ fn conv_channel(
                     // Persistent tag without a producer this pass: promote
                     // this consumer to MAU-shaped producer.
                     scratch.entry_row[e] = scratch.compute_rows.len() as u32;
-                    stale_producers.push(v);
+                    promoted += 1;
                     scratch.compute_rows.push(v);
                 }
             }
@@ -697,8 +684,8 @@ fn conv_channel(
             dest[..f * patches_n].copy_from_slice(&scratch.contrib_t);
         }
         return Ok(ChannelOut {
-            outcomes: outcomes.iter().map(|o| o.kind).collect(),
-            stale_producers,
+            mix,
+            promoted,
             conflicts,
             unique: unique_signature_count(sigs) as u64,
             sigs: sigs_owned,
@@ -741,8 +728,8 @@ fn conv_channel(
     }
 
     Ok(ChannelOut {
-        outcomes: outcomes.iter().map(|o| o.kind).collect(),
-        stale_producers,
+        mix,
+        promoted,
         conflicts,
         unique: unique_signature_count(sigs) as u64,
         sigs: sigs_owned,

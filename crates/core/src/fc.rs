@@ -4,7 +4,7 @@ use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatu
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
-use mercury_mcache::HitKind;
+use mercury_mcache::{HitKind, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::Signature;
 use mercury_tensor::exec::Executor;
@@ -12,13 +12,13 @@ use mercury_tensor::{ops, Tensor, TensorError};
 use std::collections::HashMap;
 
 /// The per-row reuse plan shared by the FC and attention engines: raw
-/// probe outcomes (what the stats report), the outcomes to charge the
-/// cycle simulator with (promoted stale-hit producers flipped to MAU —
-/// they compute rather than reuse), and each row's producer index
+/// probe outcome counts (what the stats report), how many HITs were
+/// promoted to producers (charged as MAUs by the cycle simulator — they
+/// compute rather than reuse), and each row's producer index
 /// (`row_source[i] == i` means row `i` computes).
 struct RowPlan {
-    outcomes: Vec<HitKind>,
-    sim_outcomes: Vec<HitKind>,
+    mix: OutcomeMix,
+    promoted: usize,
     row_source: Vec<usize>,
     conflicts: u64,
 }
@@ -39,27 +39,24 @@ fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> RowPlan {
     let n = sigs.len();
     let mut producer: HashMap<usize, usize> = HashMap::new();
     let mut plan = RowPlan {
-        outcomes: Vec::with_capacity(n),
-        sim_outcomes: Vec::with_capacity(n),
+        mix: OutcomeMix::default(),
+        promoted: 0,
         row_source: Vec::with_capacity(n),
         conflicts: 0,
     };
     let probe_outcomes = base.cache.probe_insert_batch(sigs, &exec);
     for (i, out) in probe_outcomes.into_iter().enumerate() {
-        plan.outcomes.push(out.kind);
+        plan.mix.record(out.kind);
         match out.kind {
             HitKind::Hit => {
                 let id = out.entry.expect("hit entries resolve");
                 match producer.get(&(id.set * ways + id.way)) {
-                    Some(&src) => {
-                        plan.row_source.push(src);
-                        plan.sim_outcomes.push(HitKind::Hit);
-                    }
+                    Some(&src) => plan.row_source.push(src),
                     None => {
                         // Persistent tag without a producer this pass.
                         producer.insert(id.set * ways + id.way, i);
                         plan.row_source.push(i);
-                        plan.sim_outcomes.push(HitKind::Mau);
+                        plan.promoted += 1;
                     }
                 }
             }
@@ -67,24 +64,29 @@ fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> RowPlan {
                 let id = out.entry.expect("mau entries resolve");
                 producer.insert(id.set * ways + id.way, i);
                 plan.row_source.push(i);
-                plan.sim_outcomes.push(HitKind::Mau);
             }
-            HitKind::Mnu => {
-                plan.row_source.push(i);
-                plan.sim_outcomes.push(HitKind::Mnu);
-            }
+            HitKind::Mnu => plan.row_source.push(i),
         }
     }
     plan.conflicts = base.cache.stats().insert_conflicts - conflicts_before;
     plan
 }
 
-fn tally(stats: &mut LayerStats, outcomes: &[HitKind]) {
-    for &o in outcomes {
-        match o {
-            HitKind::Hit => stats.hits += 1,
-            HitKind::Mau => stats.maus += 1,
-            HitKind::Mnu => stats.mnus += 1,
+/// The outcome counts of `n` rows computed with detection off.
+fn all_mnu(n: usize) -> OutcomeMix {
+    OutcomeMix {
+        mnus: n,
+        ..OutcomeMix::default()
+    }
+}
+
+/// Copies each consumer row of the `width`-wide row-major `data` from its
+/// producer (`row_source[i] != i`). A producer always precedes its
+/// consumers, so every source row is final when it is copied.
+fn copy_consumer_rows(data: &mut [f32], width: usize, row_source: &[usize]) {
+    for (i, &src) in row_source.iter().enumerate() {
+        if src != i {
+            data.copy_within(src * width..(src + 1) * width, i * width);
         }
     }
 }
@@ -218,12 +220,11 @@ impl FcEngine {
         if !self.base.detection_enabled {
             let exact = ops::matmul(inputs, weights).map_err(MercuryError::Tensor)?;
             output = exact;
-            let outcomes = vec![HitKind::Mnu; n];
             stats.mnus = n as u64;
             stats.unique_vectors = n as u64;
             stats.cycles = simulate_fc(
                 &self.base.config.accelerator,
-                &FcWork::new(&outcomes, m, l, 0).with_precomputed_signatures(),
+                &FcWork::new(all_mnu(n), m, l, 0).with_precomputed_signatures(),
             );
             // With detection off the engine pays no signature cost and no
             // reuse: force MERCURY total == baseline.
@@ -276,18 +277,17 @@ impl FcEngine {
                 }
             },
         );
-        for i in 0..n {
-            let src = plan.row_source[i];
-            if src != i {
-                // The earlier PE forwards its per-weight results.
-                let row: Vec<f32> = od[src * m..(src + 1) * m].to_vec();
-                od[i * m..(i + 1) * m].copy_from_slice(&row);
-            }
-        }
+        // The earlier PE forwards its per-weight results.
+        copy_consumer_rows(od, m, &plan.row_source);
 
-        tally(&mut stats, &plan.outcomes);
+        stats.add_outcomes(plan.mix);
         stats.unique_vectors = unique_signature_count(&sigs) as u64;
-        let mut work = FcWork::new(&plan.sim_outcomes, m, l, self.base.signature_bits);
+        let mut work = FcWork::new(
+            plan.mix.promote_hits(plan.promoted),
+            m,
+            l,
+            self.base.signature_bits,
+        );
         if reuse_saved {
             work = work.with_precomputed_signatures();
         }
@@ -411,14 +411,13 @@ impl AttentionEngine {
             let xt = ops::transpose(x).map_err(MercuryError::Tensor)?;
             let w = ops::matmul(x, &xt).map_err(MercuryError::Tensor)?;
             let y = ops::matmul(&w, x).map_err(MercuryError::Tensor)?;
-            let outcomes = vec![HitKind::Mnu; t];
             let mut stats = LayerStats {
                 mnus: t as u64,
                 unique_vectors: t as u64,
                 detection_enabled: false,
                 ..LayerStats::default()
             };
-            stats.cycles = simulate_attention(&self.base.config.accelerator, &outcomes, t, k, 0);
+            stats.cycles = simulate_attention(&self.base.config.accelerator, all_mnu(t), t, k, 0);
             stats.cycles.signature = 0;
             stats.cycles.compute = stats.cycles.baseline;
             return Ok(LayerForward {
@@ -463,12 +462,7 @@ impl AttentionEngine {
                 }
             },
         );
-        for (i, &src) in plan.row_source.iter().enumerate() {
-            if src != i {
-                let row: Vec<f32> = wd[src * t..(src + 1) * t].to_vec();
-                wd[i * t..(i + 1) * t].copy_from_slice(&row);
-            }
-        }
+        copy_consumer_rows(wd, t, &plan.row_source);
 
         // Y = W·X with the same row reuse (identical xᵢ ⇒ identical rows).
         let mut y = Tensor::zeros(&[t, k]);
@@ -490,22 +484,17 @@ impl AttentionEngine {
                 }
             },
         );
-        for (i, &src) in plan.row_source.iter().enumerate() {
-            if src != i {
-                let row: Vec<f32> = yd[src * k..(src + 1) * k].to_vec();
-                yd[i * k..(i + 1) * k].copy_from_slice(&row);
-            }
-        }
+        copy_consumer_rows(yd, k, &plan.row_source);
 
         let mut stats = LayerStats {
             detection_enabled: true,
             unique_vectors: unique_signature_count(&sigs) as u64,
             ..LayerStats::default()
         };
-        tally(&mut stats, &plan.outcomes);
+        stats.add_outcomes(plan.mix);
         stats.cycles = simulate_attention(
             &self.base.config.accelerator,
-            &plan.sim_outcomes,
+            plan.mix.promote_hits(plan.promoted),
             t,
             k,
             if reuse_saved {

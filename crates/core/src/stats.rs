@@ -2,6 +2,7 @@
 //! material for every figure in the paper's evaluation.
 
 use mercury_accel::sim::ChannelCycles;
+use mercury_mcache::OutcomeMix;
 
 /// Statistics for one layer pass (forward or backward).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,6 +47,13 @@ impl LayerStats {
             self.maus as f64 / n as f64,
             self.mnus as f64 / n as f64,
         )
+    }
+
+    /// Adds a probe outcome mix to the HIT/MAU/MNU counts.
+    pub fn add_outcomes(&mut self, mix: OutcomeMix) {
+        self.hits += mix.hits as u64;
+        self.maus += mix.maus as u64;
+        self.mnus += mix.mnus as u64;
     }
 
     /// Merges another pass's statistics into this one.

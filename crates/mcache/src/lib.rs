@@ -20,11 +20,10 @@
 //! flash-clear invalidates one version (filter reload) or all versions
 //! (synchronous filter advance) in a single operation.
 //!
-//! Access outcomes are summarized per input vector in a [`Hitmap`]
-//! (HIT / MAU / MNU), and the [`SignatureTable`] maps input-vector numbers
-//! to their signatures and cache entry ids — both structures are consulted
-//! by the PE sets during the convolution so the dataflow never stalls on
-//! similarity bookkeeping.
+//! Each probe classifies its input vector as a [`HitKind`] (HIT / MAU /
+//! MNU); an [`OutcomeMix`] counts them per reuse scope, and the counts are
+//! all the cycle model needs. The [`SignatureTable`] maps input-vector
+//! numbers to their signatures and cache entry ids.
 //!
 //! # Examples
 //!
@@ -61,5 +60,5 @@ mod sigtable;
 
 pub use cache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats};
 pub use error::McacheError;
-pub use hitmap::{HitKind, Hitmap};
+pub use hitmap::{HitKind, OutcomeMix};
 pub use sigtable::SignatureTable;
