@@ -8,7 +8,7 @@
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_bench::{f3, tsv_header, ModelSimConfig};
 use mercury_core::{ConvEngine, LayerOp, MercuryConfig, MercurySession, ReuseEngine};
-use mercury_mcache::{MCache, OutcomeMix};
+use mercury_mcache::MCache;
 use mercury_rpq::Signature;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
@@ -41,7 +41,7 @@ fn main() {
     assert_eq!(ids, ids_memo);
 
     let t = Instant::now();
-    let (outcomes, conflicts) = stream.probe(&mut cache, &mut rng);
+    let (mix, conflicts) = stream.probe(&mut cache, &mut rng);
     println!("stream/probe_total\t{}", f3(us(t)));
 
     // Isolate the probe_insert loop: same cluster structure, synthetic
@@ -65,14 +65,13 @@ fn main() {
     eprintln!("(probe tally {tally})");
 
     // The cycle model runs on outcome counts, so its per-stream cost is
-    // the tally plus O(1) arithmetic.
+    // O(1) arithmetic.
     let t = Instant::now();
-    let mix = OutcomeMix::from_outcomes(&outcomes);
     let mut sim = LayerSim::new(cfg.accelerator);
     let work = ChannelWork::new(mix, 64, 3, cfg.signature_bits).with_insert_conflicts(conflicts);
     sim.push_channel(&work);
     let cycles = sim.finish();
-    println!("stream/tally_and_cycle_sim\t{}", f3(us(t)));
+    println!("stream/cycle_sim\t{}", f3(us(t)));
     eprintln!(
         "(stream: {} ids, {} hits / {} maus / {} mnus, speedup {:.2})",
         ids.len(),

@@ -31,7 +31,7 @@ use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_core::stats::{LayerStats, RunReport};
-use mercury_mcache::{MCache, MCacheConfig, OutcomeMix};
+use mercury_mcache::{MCache, MCacheConfig};
 use mercury_models::{LayerSpec, ModelSpec};
 use mercury_tensor::exec::{Executor, ExecutorKind};
 use mercury_tensor::rng::Rng;
@@ -150,8 +150,7 @@ fn simulate_conv_layer(
     };
     let stream = VectorStream::with_similarity(vectors, similarity.min(0.99), cfg.signature_bits);
     for _ in 0..sampled {
-        let (outcomes, conflicts) = stream.probe(cache, rng);
-        let mix = OutcomeMix::from_outcomes(&outcomes);
+        let (mix, conflicts) = stream.probe(cache, rng);
         stats.add_outcomes(mix);
         // "Unique vectors" as the hardware observes them: distinct
         // signatures resident in MCACHE (Figure 15c counts hundreds per
@@ -181,8 +180,7 @@ fn simulate_dense_layer(
 ) -> LayerStats {
     let vectors = layer.vectors_per_unit();
     let stream = VectorStream::with_similarity(vectors, similarity.min(0.99), cfg.signature_bits);
-    let (outcomes, _) = stream.probe(cache, rng);
-    let mix = OutcomeMix::from_outcomes(&outcomes);
+    let (mix, _) = stream.probe(cache, rng);
     let mut stats = LayerStats {
         unique_vectors: mix.maus as u64,
         detection_enabled: true,

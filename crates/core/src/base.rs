@@ -41,8 +41,7 @@ pub(crate) enum EngineCache {
 /// methods, delegating to the engine's `base: EngineBase` field. Every
 /// engine family uses this inside its trait impl so the lifecycle
 /// behaviour (including the grow-time persistent-cache flush) can never
-/// diverge between families; only `forward`/`forward_reusing` are written
-/// per engine.
+/// diverge between families; only `forward` is written per engine.
 macro_rules! reuse_engine_lifecycle {
     () => {
         fn signature_bits(&self) -> usize {

@@ -138,7 +138,7 @@ pub struct MercuryConfig {
     /// [`MercurySession::recover`](crate::MercurySession::recover) before
     /// reuse detection re-arms. During the warm-up the layer is correct
     /// but unaccelerated and its
-    /// [`ReuseReport::degraded`](crate::ReuseReport::degraded) flag is
+    /// [`LayerForward::degraded`](crate::LayerForward::degraded) flag is
     /// set. `0` re-arms immediately on recovery. Defaults to 8.
     pub recovery_warmup: usize,
 }

@@ -1,12 +1,12 @@
 use crate::base::{EngineBase, EngineCache};
 use crate::config::ConfigError;
-use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
+use crate::reuse::{LayerForward, LayerOp, ReuseEngine};
 use crate::stats::LayerStats;
-use crate::{MercuryConfig, MercuryError, SavedSignatures};
+use crate::{MercuryConfig, MercuryError};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_mcache::{AccessOutcome, EntryId, HitKind, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
-use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
+use mercury_rpq::{SignPlan, SignatureGenerator};
 use mercury_tensor::conv::{extract_patches_into, ConvGeometry};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::scratch::ScratchF32;
@@ -90,7 +90,6 @@ impl ConvEngine {
         kernels: &Tensor,
         stride: usize,
         pad: usize,
-        saved: Option<&SavedSignatures>,
     ) -> Result<LayerForward, MercuryError> {
         if input.rank() != 3 {
             return Err(TensorError::RankMismatch {
@@ -132,27 +131,12 @@ impl ConvEngine {
             ..LayerStats::default()
         };
         let mut sim = LayerSim::new(self.base.config.accelerator);
-        let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
-
-        // Saved signatures are only consulted while detection is on; with
-        // detection off the pass neither reads nor produces signatures.
-        // Reuse also requires one saved list per input channel —
-        // `compatible` cannot check that (it does not know `c`), and a
-        // shorter `per_channel` would otherwise be indexed out of bounds.
-        let reuse_saved = self.base.detection_enabled
-            && saved
-                .map(|s| {
-                    s.per_channel.len() == c
-                        && s.compatible((kh, kw), patches_n)
-                        && s.bits == self.base.signature_bits
-                })
-                .unwrap_or(false);
 
         // Materialize the projection matrix for this patch length before
         // any channel runs (it is shared by all channels; generating it
         // inside the loop would need `&mut self` per channel and block the
         // sharded path below).
-        if self.base.detection_enabled && !reuse_saved {
+        if self.base.detection_enabled {
             self.base.projection_for(plen);
         }
 
@@ -160,7 +144,7 @@ impl ConvEngine {
         // once per forward; every channel (on every worker — the plan is
         // read-only) signs its patch rows against the same packed panels
         // instead of re-packing per channel.
-        let plan: Option<SignPlan> = if self.base.detection_enabled && !reuse_saved {
+        let plan: Option<SignPlan> = if self.base.detection_enabled {
             let proj = self
                 .base
                 .projection(plen)
@@ -212,7 +196,6 @@ impl ConvEngine {
                     patches_n,
                     detection,
                     plan: plan.as_ref(),
-                    saved: if reuse_saved { saved } else { None },
                 }
             };
         }
@@ -325,38 +308,18 @@ impl ConvEngine {
             // simulator charges promoted producers as MAUs, since those
             // vectors computed and wrote rather than reused. With detection
             // off every vector is an MNU and no signature bit is generated.
-            let mut work = ChannelWork::new(out.mix.promote_hits(out.promoted), f, kh, bits)
+            let work = ChannelWork::new(out.mix.promote_hits(out.promoted), f, kh, bits)
                 .with_insert_conflicts(out.conflicts);
-            if reuse_saved {
-                work = work.with_precomputed_signatures();
-            }
             sim.push_channel(&work);
             stats.add_outcomes(out.mix);
             stats.unique_vectors += out.unique;
-            if let Some(s) = out.sigs {
-                saved_out.push(s);
-            }
         }
 
         stats.cycles = sim.finish();
-        let per_channel = if reuse_saved {
-            // The pass consumed the saved signatures unchanged; clone them
-            // once here, outside the per-channel hot path.
-            saved.unwrap().per_channel.clone()
-        } else {
-            saved_out
-        };
         Ok(LayerForward {
             output,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Conv(SavedSignatures {
-                    kernel: (kh, kw),
-                    bits: self.base.signature_bits,
-                    per_channel,
-                }),
-                degraded: false,
-            },
+            stats,
+            degraded: false,
         })
     }
 }
@@ -424,10 +387,8 @@ struct ChannelCtx<'a> {
     patches_n: usize,
     detection: bool,
     /// The packed sign-quantization plan for `plen`-element patches;
-    /// `Some` exactly when fresh signatures will be generated.
+    /// `Some` exactly when detection is on.
     plan: Option<&'a SignPlan>,
-    /// `Some` when compatible saved signatures replace generation.
-    saved: Option<&'a SavedSignatures>,
 }
 
 /// Reusable per-worker buffers: the im2col patch matrix, the channel's
@@ -457,14 +418,12 @@ struct ConvScratch {
 /// Everything one channel reports to the deterministic reduce besides its
 /// output block: the raw probe outcome counts, how many of its HITs were
 /// promoted to producers (charged as MAUs by the cycle simulator), the
-/// insertion-conflict count, the distinct-signature count, and the
-/// signatures to save (`None` when saved signatures were reused).
+/// insertion-conflict count, and the distinct-signature count.
 struct ChannelOut {
     mix: OutcomeMix,
     promoted: usize,
     conflicts: u64,
     unique: u64,
-    sigs: Option<Vec<Signature>>,
 }
 
 /// Runs one channel of a conv forward: im2col, similarity detection,
@@ -551,24 +510,14 @@ fn conv_channel(
             promoted: 0,
             conflicts: 0,
             unique: patches_n as u64,
-            sigs: Some(Vec::new()),
         });
     }
 
     // ---- Similarity detection --------------------------------------------
-    // Fresh signatures come from one batched GEMM + sign quantization;
-    // saved ones are borrowed, never cloned, on the hot path.
-    let sigs_owned: Option<Vec<Signature>> = match ctx.saved {
-        Some(_) => None,
-        None => {
-            let plan = ctx.plan.expect("sign plan materialized before channel run");
-            Some(plan.signatures_for_rows(&scratch.patch_buf, &mut scratch.sig_words))
-        }
-    };
-    let sigs: &[Signature] = match &sigs_owned {
-        Some(s) => s,
-        None => &ctx.saved.unwrap().per_channel[ch],
-    };
+    // Signatures come from one batched GEMM + sign quantization; they live
+    // only until the channel has probed and counted its distinct ones.
+    let plan = ctx.plan.expect("sign plan materialized before channel run");
+    let sigs = plan.signatures_for_rows(&scratch.patch_buf, &mut scratch.sig_words);
 
     // New reuse scope: batch engines restart MCACHE here (§III-B3);
     // persistent engines keep tags resident across channels and submits,
@@ -578,7 +527,7 @@ fn conv_channel(
     }
     cache.begin_insert_batch();
     let conflicts_before = cache.stats().insert_conflicts;
-    cache.probe_insert_batch_into(sigs, exec, &mut scratch.probe_buf);
+    cache.probe_insert_batch_into(&sigs, exec, &mut scratch.probe_buf);
     let outcomes = &scratch.probe_buf;
     let conflicts = cache.stats().insert_conflicts - conflicts_before;
 
@@ -687,8 +636,7 @@ fn conv_channel(
             mix,
             promoted,
             conflicts,
-            unique: unique_signature_count(sigs) as u64,
-            sigs: sigs_owned,
+            unique: unique_signature_count(&sigs) as u64,
         });
     }
 
@@ -731,8 +679,7 @@ fn conv_channel(
         mix,
         promoted,
         conflicts,
-        unique: unique_signature_count(sigs) as u64,
-        sigs: sigs_owned,
+        unique: unique_signature_count(&sigs) as u64,
     })
 }
 
@@ -744,26 +691,7 @@ impl ReuseEngine for ConvEngine {
                 kernels,
                 stride,
                 pad,
-            } => self.run(input, kernels, stride, pad, None),
-            other => Err(MercuryError::UnsupportedOp {
-                engine: "conv",
-                op: other.family(),
-            }),
-        }
-    }
-
-    fn forward_reusing(
-        &mut self,
-        op: LayerOp<'_>,
-        saved: &ReuseSignatures,
-    ) -> Result<LayerForward, MercuryError> {
-        match op {
-            LayerOp::Conv {
-                input,
-                kernels,
-                stride,
-                pad,
-            } => self.run(input, kernels, stride, pad, saved.as_conv()),
+            } => self.run(input, kernels, stride, pad),
             other => Err(MercuryError::UnsupportedOp {
                 engine: "conv",
                 op: other.family(),
@@ -794,10 +722,6 @@ mod tests {
         engine
             .forward(LayerOp::conv(input, kernels, stride, pad))
             .unwrap()
-    }
-
-    fn conv_sigs(fwd: &LayerForward) -> &SavedSignatures {
-        fwd.report.signatures.as_conv().expect("conv signatures")
     }
 
     #[test]
@@ -834,14 +758,14 @@ mod tests {
         let mut rng = Rng::new(3);
         let kernels = Tensor::randn(&[64, 1, 3, 3], &mut rng);
         let out = forward(&mut engine(3), &input, &kernels, 1, 0);
-        assert_eq!(out.stats().maus, 1);
-        assert_eq!(out.stats().hits, 196 - 1);
-        assert_eq!(out.stats().unique_vectors, 1);
+        assert_eq!(out.stats.maus, 1);
+        assert_eq!(out.stats.hits, 196 - 1);
+        assert_eq!(out.stats.unique_vectors, 1);
         let want = conv2d_multi(&input, &kernels, 1, 0).unwrap();
         for (g, w) in out.output.data().iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
         }
-        assert!(out.stats().cycles.speedup() > 1.0);
+        assert!(out.stats.cycles.speedup() > 1.0);
     }
 
     #[test]
@@ -864,7 +788,7 @@ mod tests {
         assert_eq!(out.output.shape(), &[1, 1, 2]);
         // Both patches identical → outputs identical.
         assert_eq!(out.output.data()[0], out.output.data()[1]);
-        assert_eq!(out.stats().hits, 1);
+        assert_eq!(out.stats.hits, 1);
     }
 
     #[test]
@@ -875,101 +799,13 @@ mod tests {
         let mut e = engine(5);
         e.set_detection(false);
         let out = forward(&mut e, &input, &kernels, 1, 0);
-        assert!(!out.stats().detection_enabled);
-        assert_eq!(out.stats().hits, 0);
-        assert_eq!(out.stats().cycles.signature, 0);
+        assert!(!out.stats.detection_enabled);
+        assert_eq!(out.stats.hits, 0);
+        assert_eq!(out.stats.cycles.signature, 0);
         let want = conv2d_multi(&input, &kernels, 1, 0).unwrap();
         for (g, w) in out.output.data().iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn saved_signatures_skip_signature_phase() {
-        let input = Tensor::full(&[1, 8, 8], 1.0);
-        let mut rng = Rng::new(6);
-        let kernels = Tensor::randn(&[2, 1, 3, 3], &mut rng);
-        let mut e = engine(6);
-        let first = forward(&mut e, &input, &kernels, 1, 0);
-        let second = e
-            .forward_reusing(
-                LayerOp::conv(&input, &kernels, 1, 0),
-                &first.report.signatures,
-            )
-            .unwrap();
-        assert_eq!(second.stats().cycles.signature, 0);
-        assert!(second.stats().cycles.total() < first.stats().cycles.total());
-        // Outcomes identical since signatures identical.
-        assert_eq!(second.stats().hits, first.stats().hits);
-    }
-
-    #[test]
-    fn channel_count_mismatch_falls_back_to_fresh_signatures() {
-        // Signatures saved from a 2-channel input must not be reused for a
-        // 3-channel input of the same spatial/kernel geometry: per-channel
-        // lists would run out at channel 2. The engine must recompute
-        // instead of panicking.
-        let mut rng = Rng::new(14);
-        let kernels2 = Tensor::randn(&[2, 2, 3, 3], &mut rng);
-        let kernels3 = Tensor::randn(&[2, 3, 3, 3], &mut rng);
-        let input2 = Tensor::randn(&[2, 8, 8], &mut rng);
-        let input3 = Tensor::randn(&[3, 8, 8], &mut rng);
-        let mut e = engine(14);
-        let saved = forward(&mut e, &input2, &kernels2, 1, 0).report.signatures;
-        assert_eq!(saved.as_conv().unwrap().per_channel.len(), 2);
-        let out = e
-            .forward_reusing(LayerOp::conv(&input3, &kernels3, 1, 0), &saved)
-            .unwrap();
-        assert!(
-            out.stats().cycles.signature > 0,
-            "signatures were recomputed"
-        );
-        assert_eq!(conv_sigs(&out).per_channel.len(), 3);
-    }
-
-    #[test]
-    fn detection_off_signatures_are_not_reusable() {
-        // A detection-off pass records one empty signature list per
-        // channel; feeding that back into a detection-on pass must be
-        // treated as incompatible (lengths differ from the patch count)
-        // and fall back to fresh signatures rather than indexing into the
-        // empty lists.
-        let mut rng = Rng::new(13);
-        let input = Tensor::randn(&[2, 8, 8], &mut rng);
-        let kernels = Tensor::randn(&[3, 2, 3, 3], &mut rng);
-        let mut e = engine(13);
-        e.set_detection(false);
-        let off = forward(&mut e, &input, &kernels, 1, 0);
-        assert!(off.report.signatures.is_empty());
-        assert_eq!(conv_sigs(&off).per_channel.len(), 2);
-        e.set_detection(true);
-        let on = e
-            .forward_reusing(
-                LayerOp::conv(&input, &kernels, 1, 0),
-                &off.report.signatures,
-            )
-            .unwrap();
-        assert!(on.stats().cycles.signature > 0, "signatures recomputed");
-        assert_eq!(conv_sigs(&on).per_channel[0].len(), 36);
-    }
-
-    #[test]
-    fn incompatible_saved_signatures_fall_back() {
-        let input = Tensor::full(&[1, 8, 8], 1.0);
-        let mut rng = Rng::new(7);
-        let kernels3 = Tensor::randn(&[1, 1, 3, 3], &mut rng);
-        let kernels5 = Tensor::randn(&[1, 1, 5, 5], &mut rng);
-        let mut e = engine(7);
-        let first = forward(&mut e, &input, &kernels3, 1, 0);
-        // 5x5 kernels: saved 3x3 signatures are incompatible → fresh ones.
-        let second = e
-            .forward_reusing(
-                LayerOp::conv(&input, &kernels5, 1, 0),
-                &first.report.signatures,
-            )
-            .unwrap();
-        assert!(second.stats().cycles.signature > 0);
-        assert_eq!(conv_sigs(&second).kernel, (5, 5));
     }
 
     #[test]
@@ -1007,10 +843,11 @@ mod tests {
         let a = forward(&mut e, &input, &kernels, 1, 0);
         e.grow_signature();
         let b = forward(&mut e, &input, &kernels, 1, 0);
-        assert_eq!(conv_sigs(&a).bits, 20);
-        assert_eq!(conv_sigs(&b).bits, 21);
+        assert_eq!(e.signature_bits(), 21);
+        // The longer signature costs more signature-generation cycles.
+        assert!(b.stats.cycles.signature > a.stats.cycles.signature);
         // Constant image still fully reuses at the longer signature.
-        assert_eq!(b.stats().hits, a.stats().hits);
+        assert_eq!(b.stats.hits, a.stats.hits);
     }
 
     #[test]
@@ -1061,8 +898,7 @@ mod tests {
                 .unwrap();
             let mut e = ConvEngine::try_new(config, 30).unwrap();
             let out = forward(&mut e, &input, &kernels, 1, 1);
-            assert_eq!(out.output, serial_out.output);
-            assert_eq!(out.report, serial_out.report);
+            assert_eq!(out, serial_out);
         }
     }
 
@@ -1075,18 +911,18 @@ mod tests {
 
         // First submit: one MAU (constant image), the rest HITs.
         let first = forward(&mut e, &input, &kernels, 1, 0);
-        assert_eq!(first.stats().maus, 1);
+        assert_eq!(first.stats.maus, 1);
         // Second submit: the tag persisted, so even the first patch HITs.
         let second = forward(&mut e, &input, &kernels, 1, 0);
-        assert_eq!(second.stats().maus, 0);
-        assert_eq!(second.stats().hits, first.stats().hits + 1);
+        assert_eq!(second.stats.maus, 0);
+        assert_eq!(second.stats.hits, first.stats.hits + 1);
         // Output is still the exact convolution (promoted producer).
         assert_eq!(second.output, first.output);
         // Epoch eviction restores the cold-start outcome mix.
         e.end_epoch();
         let third = forward(&mut e, &input, &kernels, 1, 0);
-        assert_eq!(third.stats().maus, 1);
-        assert_eq!(third.stats().hits, first.stats().hits);
+        assert_eq!(third.stats.maus, 1);
+        assert_eq!(third.stats.hits, first.stats.hits);
         assert_eq!(third.output, first.output);
     }
 
@@ -1098,7 +934,7 @@ mod tests {
         let mut e = engine(17);
         let first = forward(&mut e, &input, &kernels, 1, 0);
         let second = forward(&mut e, &input, &kernels, 1, 0);
-        assert_eq!(first.stats().maus, second.stats().maus);
-        assert_eq!(first.stats().hits, second.stats().hits);
+        assert_eq!(first.stats.maus, second.stats.maus);
+        assert_eq!(first.stats.hits, second.stats.hits);
     }
 }

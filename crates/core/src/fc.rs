@@ -1,6 +1,6 @@
 use crate::base::EngineBase;
 use crate::config::ConfigError;
-use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
+use crate::reuse::{LayerForward, LayerOp, ReuseEngine};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
@@ -91,14 +91,6 @@ fn copy_consumer_rows(data: &mut [f32], width: usize, row_source: &[usize]) {
     }
 }
 
-/// Whether saved per-row signatures can stand in for fresh ones: one per
-/// row, all at the engine's current signature length.
-fn rows_reusable(saved: Option<&[Signature]>, n: usize, bits: usize) -> bool {
-    saved
-        .map(|sigs| sigs.len() == n && sigs.iter().all(|s| s.len() == bits))
-        .unwrap_or(false)
-}
-
 /// Runs the producer rows of a row-sharded dense product: each index in
 /// `compute` (strictly increasing — it is built by filtering `0..n` in
 /// order) names one `width`-wide row of `out`, and `fill` computes that
@@ -184,12 +176,7 @@ impl FcEngine {
         })
     }
 
-    fn run(
-        &mut self,
-        inputs: &Tensor,
-        weights: &Tensor,
-        saved: Option<&[Signature]>,
-    ) -> Result<LayerForward, MercuryError> {
+    fn run(&mut self, inputs: &Tensor, weights: &Tensor) -> Result<LayerForward, MercuryError> {
         if inputs.rank() != 2 || weights.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -232,21 +219,12 @@ impl FcEngine {
             stats.cycles.compute = stats.cycles.baseline;
             return Ok(LayerForward {
                 output,
-                report: ReuseReport {
-                    stats,
-                    signatures: ReuseSignatures::Rows(Vec::new()),
-                    degraded: false,
-                },
+                stats,
+                degraded: false,
             });
         }
 
-        let reuse_saved = rows_reusable(saved, n, self.base.signature_bits);
-        let sigs: Vec<Signature> = if reuse_saved {
-            saved.unwrap().to_vec()
-        } else {
-            self.base.signatures_for_rows(inputs)
-        };
-
+        let sigs = self.base.signatures_for_rows(inputs);
         let plan = probe_rows(&mut self.base, &sigs);
 
         // Producer rows — the ones that actually compute — are mutually
@@ -282,15 +260,12 @@ impl FcEngine {
 
         stats.add_outcomes(plan.mix);
         stats.unique_vectors = unique_signature_count(&sigs) as u64;
-        let mut work = FcWork::new(
+        let work = FcWork::new(
             plan.mix.promote_hits(plan.promoted),
             m,
             l,
             self.base.signature_bits,
         );
-        if reuse_saved {
-            work = work.with_precomputed_signatures();
-        }
         stats.cycles = simulate_fc(&self.base.config.accelerator, &work);
         // Insertion conflicts serialize through the per-set queues like the
         // conv path; charge them to the signature phase.
@@ -304,11 +279,8 @@ impl FcEngine {
 
         Ok(LayerForward {
             output,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Rows(sigs),
-                degraded: false,
-            },
+            stats,
+            degraded: false,
         })
     }
 }
@@ -316,21 +288,7 @@ impl FcEngine {
 impl ReuseEngine for FcEngine {
     fn forward(&mut self, op: LayerOp<'_>) -> Result<LayerForward, MercuryError> {
         match op {
-            LayerOp::Fc { inputs, weights } => self.run(inputs, weights, None),
-            other => Err(MercuryError::UnsupportedOp {
-                engine: "fc",
-                op: other.family(),
-            }),
-        }
-    }
-
-    fn forward_reusing(
-        &mut self,
-        op: LayerOp<'_>,
-        saved: &ReuseSignatures,
-    ) -> Result<LayerForward, MercuryError> {
-        match op {
-            LayerOp::Fc { inputs, weights } => self.run(inputs, weights, saved.as_rows()),
+            LayerOp::Fc { inputs, weights } => self.run(inputs, weights),
             other => Err(MercuryError::UnsupportedOp {
                 engine: "fc",
                 op: other.family(),
@@ -393,11 +351,7 @@ impl AttentionEngine {
         })
     }
 
-    fn run(
-        &mut self,
-        x: &Tensor,
-        saved: Option<&[Signature]>,
-    ) -> Result<LayerForward, MercuryError> {
+    fn run(&mut self, x: &Tensor) -> Result<LayerForward, MercuryError> {
         if x.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -422,20 +376,12 @@ impl AttentionEngine {
             stats.cycles.compute = stats.cycles.baseline;
             return Ok(LayerForward {
                 output: y,
-                report: ReuseReport {
-                    stats,
-                    signatures: ReuseSignatures::Rows(Vec::new()),
-                    degraded: false,
-                },
+                stats,
+                degraded: false,
             });
         }
 
-        let reuse_saved = rows_reusable(saved, t, self.base.signature_bits);
-        let sigs: Vec<Signature> = if reuse_saved {
-            saved.unwrap().to_vec()
-        } else {
-            self.base.signatures_for_rows(x)
-        };
+        let sigs = self.base.signatures_for_rows(x);
         let plan = probe_rows(&mut self.base, &sigs);
 
         // Producer rows shard across the executor for both products; row
@@ -497,11 +443,7 @@ impl AttentionEngine {
             plan.mix.promote_hits(plan.promoted),
             t,
             k,
-            if reuse_saved {
-                0
-            } else {
-                self.base.signature_bits
-            },
+            self.base.signature_bits,
         );
         // Same-window insertion conflicts serialize through the per-set
         // queues exactly as in the FC path; charge them identically.
@@ -515,11 +457,8 @@ impl AttentionEngine {
 
         Ok(LayerForward {
             output: y,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Rows(sigs),
-                degraded: false,
-            },
+            stats,
+            degraded: false,
         })
     }
 }
@@ -527,21 +466,7 @@ impl AttentionEngine {
 impl ReuseEngine for AttentionEngine {
     fn forward(&mut self, op: LayerOp<'_>) -> Result<LayerForward, MercuryError> {
         match op {
-            LayerOp::Attention { x } => self.run(x, None),
-            other => Err(MercuryError::UnsupportedOp {
-                engine: "attention",
-                op: other.family(),
-            }),
-        }
-    }
-
-    fn forward_reusing(
-        &mut self,
-        op: LayerOp<'_>,
-        saved: &ReuseSignatures,
-    ) -> Result<LayerForward, MercuryError> {
-        match op {
-            LayerOp::Attention { x } => self.run(x, saved.as_rows()),
+            LayerOp::Attention { x } => self.run(x),
             other => Err(MercuryError::UnsupportedOp {
                 engine: "attention",
                 op: other.family(),
@@ -586,7 +511,7 @@ mod tests {
         for (g, w) in out.output.data().iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
         }
-        assert_eq!(out.stats().hits, 0);
+        assert_eq!(out.stats.hits, 0);
     }
 
     #[test]
@@ -603,8 +528,8 @@ mod tests {
         let weights = randn(&[12, 7], 5);
 
         let out = fc(&mut engine(2), &inputs, &weights);
-        assert_eq!(out.stats().hits, 4);
-        assert_eq!(out.stats().maus, 2);
+        assert_eq!(out.stats.hits, 4);
+        assert_eq!(out.stats.maus, 2);
         // Reused rows are bit-identical to the producer row.
         for i in 1..5 {
             assert_eq!(
@@ -617,7 +542,7 @@ mod tests {
         for (g, w) in out.output.data().iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
         }
-        assert!(out.stats().cycles.speedup() > 0.0);
+        assert!(out.stats.cycles.speedup() > 0.0);
     }
 
     #[test]
@@ -629,7 +554,7 @@ mod tests {
         let out = fc(&mut e, &inputs, &weights);
         let want = ops::matmul(&inputs, &weights).unwrap();
         assert_eq!(out.output, want);
-        assert_eq!(out.stats().cycles.total(), out.stats().cycles.baseline);
+        assert_eq!(out.stats.cycles.total(), out.stats.cycles.baseline);
     }
 
     #[test]
@@ -650,22 +575,6 @@ mod tests {
                 op: "attention"
             }
         );
-    }
-
-    #[test]
-    fn fc_reuses_saved_signatures() {
-        let inputs = randn(&[6, 10], 11);
-        let weights = randn(&[10, 5], 12);
-        let mut e = engine(11);
-        let first = fc(&mut e, &inputs, &weights);
-        let second = e
-            .forward_reusing(LayerOp::fc(&inputs, &weights), &first.report.signatures)
-            .unwrap();
-        // Reloaded signatures skip the signature-generation phase (only the
-        // conflict serialization, if any, remains).
-        assert!(second.stats().cycles.signature <= first.stats().cycles.signature);
-        assert_eq!(second.output, first.output);
-        assert_eq!(second.stats().hits, first.stats().hits);
     }
 
     #[test]
@@ -690,8 +599,8 @@ mod tests {
         }
         let x = Tensor::from_vec(data, &[4, 8]).unwrap();
         let out = attend(&mut attention_engine(6), &x);
-        assert_eq!(out.stats().hits, 3);
-        assert_eq!(out.stats().maus, 1);
+        assert_eq!(out.stats.hits, 3);
+        assert_eq!(out.stats.maus, 1);
         // All output rows identical.
         for i in 1..4 {
             assert_eq!(
@@ -730,14 +639,19 @@ mod tests {
 
     #[test]
     fn signature_growth_applies_to_fc() {
+        // Wide enough rows that one extra bit per row outweighs the
+        // PE-array rounding of the signature phase.
+        let inputs = randn(&[16, 256], 13);
+        let weights = randn(&[256, 3], 14);
+        let fresh = fc(&mut engine(8), &inputs, &weights);
         let mut e = engine(8);
         assert_eq!(e.signature_bits(), 20);
         e.grow_signature();
         assert_eq!(e.signature_bits(), 21);
-        let inputs = randn(&[3, 8], 13);
-        let weights = randn(&[8, 3], 14);
-        let out = fc(&mut e, &inputs, &weights);
-        assert_eq!(out.report.signatures.as_rows().unwrap()[0].len(), 21);
+        let grown = fc(&mut e, &inputs, &weights);
+        // The grown pass generates 21-bit signatures, which cost more
+        // signature cycles than the fresh engine's 20-bit ones.
+        assert!(grown.stats.cycles.signature > fresh.stats.cycles.signature);
     }
 
     #[test]
@@ -746,17 +660,17 @@ mod tests {
         let weights = randn(&[10, 6], 16);
         let mut e = FcEngine::persistent(MercuryConfig::default(), 15, 8).unwrap();
         let first = fc(&mut e, &inputs, &weights);
-        assert_eq!(first.stats().maus, 4);
-        assert_eq!(first.stats().hits, 0);
+        assert_eq!(first.stats.maus, 4);
+        assert_eq!(first.stats.hits, 0);
         // Same rows again: every probe hits a persisted tag; promoted
         // producers recompute so the output stays exact.
         let second = fc(&mut e, &inputs, &weights);
-        assert_eq!(second.stats().hits, 4);
-        assert_eq!(second.stats().maus, 0);
+        assert_eq!(second.stats.hits, 4);
+        assert_eq!(second.stats.maus, 0);
         assert_eq!(second.output, first.output);
         e.end_epoch();
         let third = fc(&mut e, &inputs, &weights);
-        assert_eq!(third.stats().maus, 4);
+        assert_eq!(third.stats.maus, 4);
         assert_eq!(third.output, first.output);
     }
 
@@ -766,7 +680,7 @@ mod tests {
         let mut e = AttentionEngine::persistent(MercuryConfig::default(), 17, 8).unwrap();
         let first = attend(&mut e, &x);
         let second = attend(&mut e, &x);
-        assert_eq!(second.stats().hits, 5);
+        assert_eq!(second.stats.hits, 5);
         assert_eq!(second.output, first.output);
     }
 
@@ -784,12 +698,10 @@ mod tests {
                 .unwrap();
             let mut e = FcEngine::try_new(config, 20).unwrap();
             let out = fc(&mut e, &inputs, &weights);
-            assert_eq!(out.output, fc_serial.output);
-            assert_eq!(out.report, fc_serial.report);
+            assert_eq!(out, fc_serial);
             let mut a = AttentionEngine::try_new(config, 20).unwrap();
             let out = attend(&mut a, &x);
-            assert_eq!(out.output, att_serial.output);
-            assert_eq!(out.report, att_serial.report);
+            assert_eq!(out, att_serial);
         }
     }
 }

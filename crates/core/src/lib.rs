@@ -11,9 +11,8 @@
 //! 4. perform the layer's dot products, *skipping* the ones whose results
 //!    are already cached — producing both the (slightly approximate)
 //!    numeric output and the cycle accounting the accelerator simulator
-//!    derives from the outcome counts ([`mercury_accel`]),
-//! 5. save forward-pass signatures for reuse in the backward pass, and
-//! 6. adapt at run time: grow the signature one bit per loss plateau and
+//!    derives from the outcome counts ([`mercury_accel`]), and
+//! 5. adapt at run time: grow the signature one bit per loss plateau and
 //!    switch similarity detection off per layer when it stops paying for
 //!    itself (§III-D).
 //!
@@ -21,9 +20,10 @@
 //!
 //! Every engine family — [`ConvEngine`], [`FcEngine`], and
 //! [`AttentionEngine`] — implements the [`ReuseEngine`] trait: one
-//! [`LayerOp`] request in, one [`LayerForward`] (output + [`ReuseReport`])
-//! out. For one-shot, batch-shaped use, construct an engine directly with
-//! `try_new` (the monolithic MCACHE restarts per reuse scope, §III-B3).
+//! [`LayerOp`] request in, one [`LayerForward`] (output, statistics, and
+//! the post-recovery `degraded` flag) out. For one-shot, batch-shaped
+//! use, construct an engine directly with `try_new` (the monolithic
+//! MCACHE restarts per reuse scope, §III-B3).
 //!
 //! For service-style workloads, drive a [`MercurySession`] instead: it
 //! owns one *persistent* engine per registered layer, keeps the banked
@@ -52,7 +52,7 @@
 //! // MCACHE state persists across submits: the same input again is pure
 //! // signature hits.
 //! let again = session.submit(conv, &input)?;
-//! assert!(again.stats().hits > out.stats().hits);
+//! assert!(again.stats.hits > out.stats.hits);
 //! # Ok(())
 //! # }
 //! ```
@@ -76,7 +76,5 @@ pub use engine::ConvEngine;
 pub use error::MercuryError;
 pub use fc::{AttentionEngine, FcEngine};
 pub use mercury_tensor::exec::ExecutorKind;
-pub use reuse::{
-    LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures, SavedSignatures,
-};
+pub use reuse::{LayerForward, LayerOp, ReuseEngine};
 pub use session::{LayerHealth, LayerId, MercurySession};

@@ -11,78 +11,8 @@
 
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
-use mercury_rpq::Signature;
 use mercury_tensor::Tensor;
 use std::fmt;
-
-/// Signatures saved by a forward pass, to be reloaded during the backward
-/// pass of the previous layer (paper §III-C2: `Oᵢ = Iᵢ₊₁`, so layer `i+1`'s
-/// input signatures describe layer `i`'s output gradients' similarity
-/// structure when the kernel dimensions match).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedSignatures {
-    /// Kernel size `(k1, k2)` the signatures were generated for.
-    pub kernel: (usize, usize),
-    /// Signature length in bits at generation time.
-    pub bits: usize,
-    /// One signature list per channel, in patch order.
-    pub per_channel: Vec<Vec<Signature>>,
-}
-
-impl SavedSignatures {
-    /// Whether these signatures apply to a convolution with the given
-    /// kernel size and per-channel patch count.
-    ///
-    /// Note this cannot see the consuming convolution's channel count;
-    /// the convolution engine additionally requires one saved list per
-    /// input channel before reusing.
-    pub fn compatible(&self, kernel: (usize, usize), patches_per_channel: usize) -> bool {
-        self.kernel == kernel
-            && self
-                .per_channel
-                .iter()
-                .all(|sigs| sigs.len() == patches_per_channel)
-    }
-}
-
-/// Signatures produced by one [`ReuseEngine`] pass, in the shape the
-/// engine family works with. Feed them back through
-/// [`ReuseEngine::forward_reusing`] to skip the signature-generation phase
-/// when the paper's dimension conditions hold (§III-C2).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReuseSignatures {
-    /// Per-channel convolution patch signatures.
-    Conv(SavedSignatures),
-    /// Per-row signatures from a fully-connected or attention pass (one
-    /// signature per input row / sequence position).
-    Rows(Vec<Signature>),
-}
-
-impl ReuseSignatures {
-    /// The convolution signature bundle, when this came from a conv pass.
-    pub fn as_conv(&self) -> Option<&SavedSignatures> {
-        match self {
-            ReuseSignatures::Conv(saved) => Some(saved),
-            ReuseSignatures::Rows(_) => None,
-        }
-    }
-
-    /// The per-row signatures, when this came from an FC/attention pass.
-    pub fn as_rows(&self) -> Option<&[Signature]> {
-        match self {
-            ReuseSignatures::Rows(sigs) => Some(sigs),
-            ReuseSignatures::Conv(_) => None,
-        }
-    }
-
-    /// Whether the pass recorded no signatures (detection was off).
-    pub fn is_empty(&self) -> bool {
-        match self {
-            ReuseSignatures::Conv(saved) => saved.per_channel.iter().all(|s| s.is_empty()),
-            ReuseSignatures::Rows(sigs) => sigs.is_empty(),
-        }
-    }
-}
 
 /// One layer forward request, unified across the engine families.
 ///
@@ -147,38 +77,20 @@ impl<'a> LayerOp<'a> {
     }
 }
 
-/// Everything a reuse pass reports besides the numeric output: the
-/// HIT/MAU/MNU statistics with cycle accounting, and the signatures the
-/// pass generated (or reused) for backward-pass reuse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReuseReport {
-    /// Per-pass statistics and cycle accounting.
-    pub stats: LayerStats,
-    /// Signatures for §III-C2 backward reuse.
-    pub signatures: ReuseSignatures,
-    /// `true` when this pass ran in post-recovery exact-compute
-    /// degradation: the layer was recovered from poisoning and is serving
-    /// its warm-up window with reuse detection disabled (correct but
-    /// unaccelerated). Callers and benches use this to tell a degraded
-    /// exact pass from a normal detection-off configuration.
-    pub degraded: bool,
-}
-
 /// Result of one [`ReuseEngine`] forward pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerForward {
     /// The layer output. Where MCACHE hits occurred, producer results
     /// stand in for consumers' — the approximation Figure 13 measures.
     pub output: Tensor,
-    /// Statistics and saved signatures.
-    pub report: ReuseReport,
-}
-
-impl LayerForward {
-    /// Shorthand for the pass statistics.
-    pub fn stats(&self) -> &LayerStats {
-        &self.report.stats
-    }
+    /// Per-pass HIT/MAU/MNU statistics and cycle accounting.
+    pub stats: LayerStats,
+    /// `true` when this pass ran in post-recovery exact-compute
+    /// degradation: the layer was recovered from poisoning and is serving
+    /// its warm-up window with reuse detection disabled (correct but
+    /// unaccelerated). Callers and benches use this to tell a degraded
+    /// exact pass from a normal detection-off configuration.
+    pub degraded: bool,
 }
 
 /// A MERCURY detect-and-reuse engine for one layer: similarity detection
@@ -208,26 +120,13 @@ impl LayerForward {
 /// required to be [`Sync`] — each one is always driven by one thread at
 /// a time.)
 pub trait ReuseEngine: fmt::Debug + Send {
-    /// Runs one forward pass, generating fresh signatures.
+    /// Runs one forward pass.
     ///
     /// # Errors
     ///
     /// [`MercuryError::Tensor`] for malformed operand shapes and
     /// [`MercuryError::UnsupportedOp`] for a foreign op family.
     fn forward(&mut self, op: LayerOp<'_>) -> Result<LayerForward, MercuryError>;
-
-    /// Runs one forward pass reusing previously saved signatures
-    /// (backward-pass reuse, §III-C2). Incompatible signatures fall back
-    /// to fresh generation, exactly as the paper prescribes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`forward`](Self::forward).
-    fn forward_reusing(
-        &mut self,
-        op: LayerOp<'_>,
-        saved: &ReuseSignatures,
-    ) -> Result<LayerForward, MercuryError>;
 
     /// Current signature length in bits.
     fn signature_bits(&self) -> usize;

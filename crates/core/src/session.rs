@@ -30,12 +30,12 @@
 //! let input = Tensor::full(&[1, 8, 8], 0.5);
 //! let first = session.submit(conv, &input)?;
 //! let second = session.submit(conv, &input)?;
-//! assert!(second.stats().hits > first.stats().hits);
+//! assert!(second.stats.hits > first.stats.hits);
 //!
 //! // Epoch boundary: evict everything, the next submit starts cold.
 //! session.advance_epoch();
 //! let third = session.submit(conv, &input)?;
-//! assert_eq!(third.stats().hits, first.stats().hits);
+//! assert_eq!(third.stats.hits, first.stats.hits);
 //! # Ok(())
 //! # }
 //! ```
@@ -189,7 +189,7 @@ impl SessionLayer {
         match catch_unwind(AssertUnwindSafe(|| self.run(input))) {
             Ok(Ok(mut fwd)) => {
                 if let Health::Degraded { remaining, rearm } = self.health {
-                    fwd.report.degraded = true;
+                    fwd.degraded = true;
                     let remaining = remaining - 1;
                     if remaining == 0 {
                         self.engine.set_detection(rearm);
@@ -301,7 +301,7 @@ impl SessionLayer {
             LayerParams::Attention => LayerOp::Attention { x: input },
         };
         let fwd = self.engine.forward(op)?;
-        self.stats.accumulate(&fwd.report.stats);
+        self.stats.accumulate(&fwd.stats);
         self.submits += 1;
         Ok(fwd)
     }
@@ -620,7 +620,7 @@ impl MercurySession {
     /// flash-clear, then re-enters the layer into service in
     /// exact-compute degradation — reuse detection disabled for the
     /// configured [`recovery_warmup`](MercuryConfig::recovery_warmup)
-    /// requests (each flagged [`degraded`](crate::ReuseReport::degraded)),
+    /// requests (each flagged [`degraded`](crate::LayerForward::degraded)),
     /// after which detection re-arms to its pre-failure setting. A
     /// warm-up of `0` re-arms immediately.
     ///
@@ -911,13 +911,13 @@ mod tests {
             .unwrap();
         let input = Tensor::full(&[1, 8, 8], 0.4);
         let cold = s.submit(conv, &input).unwrap();
-        assert_eq!(cold.stats().maus, 1);
+        assert_eq!(cold.stats.maus, 1);
         let warm = s.submit(conv, &input).unwrap();
-        assert_eq!(warm.stats().maus, 0, "tags persisted across submits");
-        assert_eq!(warm.stats().hits, cold.stats().hits + 1);
+        assert_eq!(warm.stats.maus, 0, "tags persisted across submits");
+        assert_eq!(warm.stats.hits, cold.stats.hits + 1);
         assert_eq!(s.advance_epoch(), 1);
         let evicted = s.submit(conv, &input).unwrap();
-        assert_eq!(evicted.stats().maus, 1, "epoch evicted the tags");
+        assert_eq!(evicted.stats.maus, 1, "epoch evicted the tags");
         assert_eq!(evicted.output, cold.output);
     }
 
@@ -965,8 +965,7 @@ mod tests {
                 .unwrap();
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.output, w.output, "{kind:?}");
-                assert_eq!(g.report, w.report, "{kind:?}");
+                assert_eq!(g, w, "{kind:?}");
             }
             assert_eq!(s.layer_submits(conv), Some(3));
             assert_eq!(s.layer_stats(fc).cloned(), want_fc_stats);
@@ -1111,9 +1110,8 @@ mod tests {
         // received it.
         let after_a = a.submit(conv_a, &good).unwrap();
         let after_b = b.submit(conv_b, &good).unwrap();
-        assert_eq!(after_a.output, after_b.output);
-        assert_eq!(after_a.report, after_b.report);
-        assert!(after_a.stats().hits > 0, "cache content survived");
+        assert_eq!(after_a, after_b);
+        assert!(after_a.stats.hits > 0, "cache content survived");
         assert_eq!(a.layer_stats(conv_a), b.layer_stats(conv_b));
 
         // Propagate (the default) keeps pre-policy behaviour.
@@ -1133,7 +1131,7 @@ mod tests {
         let mut s = MercurySession::new(config, 62).unwrap();
         let conv = s.register_conv(kernels.clone(), 1, 0).unwrap();
         s.submit(conv, &input).unwrap();
-        assert!(s.submit(conv, &input).unwrap().stats().hits > 0);
+        assert!(s.submit(conv, &input).unwrap().stats.hits > 0);
 
         // A fresh exact-compute reference: same construction, detection
         // off from the start.
@@ -1152,8 +1150,8 @@ mod tests {
         );
         for remaining in [1u64, 0] {
             let fwd = s.submit(conv, &input).unwrap();
-            assert!(fwd.report.degraded, "warm-up passes are flagged");
-            assert_eq!(fwd.stats().hits, 0, "reuse disabled during warm-up");
+            assert!(fwd.degraded, "warm-up passes are flagged");
+            assert_eq!(fwd.stats.hits, 0, "reuse disabled during warm-up");
             assert_eq!(
                 fwd.output, want.output,
                 "degraded output is bit-identical to a fresh exact session"
@@ -1173,8 +1171,8 @@ mod tests {
         // setting and reuse resumes against the quarantined (empty) bank.
         assert!(s.engine(conv).unwrap().detection_enabled());
         let rearmed = s.submit(conv, &input).unwrap();
-        assert!(!rearmed.report.degraded);
-        assert!(rearmed.stats().maus > 0, "bank was flash-cleared");
+        assert!(!rearmed.degraded);
+        assert!(rearmed.stats.maus > 0, "bank was flash-cleared");
     }
 
     #[test]
@@ -1189,7 +1187,7 @@ mod tests {
         // The warm-up keeps serving exact compute...
         s.set_detection(fc, false).unwrap();
         let fwd = s.submit(fc, &rows).unwrap();
-        assert!(fwd.report.degraded);
+        assert!(fwd.degraded);
         // ...and the completed warm-up lands on the requested setting
         // instead of silently re-enabling reuse.
         assert_eq!(s.layer_health(fc), Some(LayerHealth::Healthy));
@@ -1202,7 +1200,7 @@ mod tests {
         s.recover(fc).unwrap();
         assert_eq!(s.layer_health(fc), Some(LayerHealth::Healthy));
         assert!(s.engine(fc).unwrap().detection_enabled());
-        assert!(!s.submit(fc, &rows).unwrap().report.degraded);
+        assert!(!s.submit(fc, &rows).unwrap().degraded);
     }
 
     #[test]
@@ -1310,8 +1308,7 @@ mod tests {
             let mut s = MercurySession::new_on(config, 71, shared.clone()).unwrap();
             let conv = s.register_conv(kernels.clone(), 1, 0).unwrap();
             let got = s.submit(conv, &input).unwrap();
-            assert_eq!(got.output, want.output, "session {seed_session}");
-            assert_eq!(got.report, want.report, "session {seed_session}");
+            assert_eq!(got, want, "session {seed_session}");
         }
     }
 

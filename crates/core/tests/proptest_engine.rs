@@ -35,14 +35,14 @@ proptest! {
         let mut engine = conv_engine(seed ^ 0x5555);
         let got = engine.forward(LayerOp::conv(&input, &kernels, 1, 1)).unwrap();
         let want = conv2d_multi(&input, &kernels, 1, 1).unwrap();
-        if got.stats().hits == 0 {
+        if got.stats.hits == 0 {
             for (g, w) in got.output.data().iter().zip(want.data()) {
                 prop_assert!((g - w).abs() < 1e-3, "got {g}, want {w}");
             }
         } else {
             let err = got.output.sub(&want).unwrap().norm_sq().sqrt()
                 / want.norm_sq().sqrt().max(1e-6);
-            prop_assert!(err < 0.5, "relative error {err} with {} hits", got.stats().hits);
+            prop_assert!(err < 0.5, "relative error {err} with {} hits", got.stats.hits);
         }
     }
 
@@ -61,7 +61,7 @@ proptest! {
         let kernels = Tensor::randn(&[f, c, 3, 3], &mut rng);
         let mut engine = conv_engine(seed);
         let out = engine.forward(LayerOp::conv(&input, &kernels, 1, 0)).unwrap();
-        let stats = out.stats();
+        let stats = out.stats;
         let patches = (size - 2) * (size - 2);
         prop_assert_eq!(stats.total_vectors(), (c * patches) as u64);
         prop_assert_eq!(
@@ -97,24 +97,7 @@ proptest! {
         for (a, b) in o1.output.data().iter().zip(o2.output.data()) {
             prop_assert!((2.0 * a - b).abs() < 1e-3);
         }
-        prop_assert_eq!(o2.stats().total_vectors(), 2 * o1.stats().total_vectors());
-    }
-
-    /// Saved-signature reuse never changes outcomes when geometry matches:
-    /// the reuse pattern is a pure function of the signatures.
-    #[test]
-    fn reloaded_signatures_reproduce_outcomes(seed in 0u64..500, size in 5usize..9) {
-        let mut rng = Rng::new(seed);
-        let input = Tensor::randn(&[1, size, size], &mut rng).scale(0.05);
-        let kernels = Tensor::randn(&[3, 1, 3, 3], &mut rng);
-        let mut engine = conv_engine(seed);
-        let first = engine.forward(LayerOp::conv(&input, &kernels, 1, 0)).unwrap();
-        let second = engine
-            .forward_reusing(LayerOp::conv(&input, &kernels, 1, 0), &first.report.signatures)
-            .unwrap();
-        prop_assert_eq!(first.stats().hits, second.stats().hits);
-        prop_assert_eq!(first.stats().maus, second.stats().maus);
-        prop_assert_eq!(first.output, second.output);
+        prop_assert_eq!(o2.stats.total_vectors(), 2 * o1.stats.total_vectors());
     }
 
     /// FC engine: duplicated minibatch rows always produce bit-identical
@@ -136,7 +119,7 @@ proptest! {
         let weights = Tensor::randn(&[l, m], &mut rng);
         let mut engine = fc_engine(seed);
         let out = engine.forward(LayerOp::fc(&inputs, &weights)).unwrap();
-        prop_assert_eq!(out.stats().hits as usize, n - 1);
+        prop_assert_eq!(out.stats.hits as usize, n - 1);
         for i in 1..n {
             prop_assert_eq!(
                 &out.output.data()[0..m],
@@ -160,7 +143,7 @@ proptest! {
         let weights = Tensor::randn(&[l, m], &mut rng);
         let mut engine = fc_engine(seed ^ 1);
         let out = engine.forward(LayerOp::fc(&inputs, &weights)).unwrap();
-        prop_assume!(out.stats().hits == 0);
+        prop_assume!(out.stats.hits == 0);
         let want = ops::matmul(&inputs, &weights).unwrap();
         for (g, w) in out.output.data().iter().zip(want.data()) {
             prop_assert!((g - w).abs() < 1e-3);
@@ -187,7 +170,7 @@ proptest! {
             let again = engine.forward(LayerOp::fc(&inputs, &weights)).unwrap();
             prop_assert_eq!(&again.output, &first.output);
             // All earlier tags are resident, so nothing inserts anew.
-            prop_assert_eq!(again.stats().maus, 0);
+            prop_assert_eq!(again.stats.maus, 0);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests of the executor-equivalence contract at the engine
 //! level: for arbitrary shapes, seeds, and pool widths, the threaded
 //! backend produces bit-identical `LayerForward` results — output tensor,
-//! statistics, cycle accounting, and saved signatures — to the serial
-//! reference, on every engine family and on persistent session streams.
+//! statistics, and cycle accounting — to the serial reference, on every
+//! engine family and on persistent session streams.
 
 use mercury_core::{
     AttentionEngine, ConvEngine, ExecutorKind, FcEngine, LayerOp, MercuryConfig, MercurySession,
@@ -56,13 +56,11 @@ proptest! {
         let mut threaded = ConvEngine::try_new(config(threads), seed).unwrap();
         let a = serial.forward(op).unwrap();
         let b = threaded.forward(op).unwrap();
-        prop_assert_eq!(&a.output, &b.output);
-        prop_assert_eq!(&a.report, &b.report);
-        // And the saved-signature (backward-reuse) path.
-        let a2 = serial.forward_reusing(op, &a.report.signatures).unwrap();
-        let b2 = threaded.forward_reusing(op, &b.report.signatures).unwrap();
-        prop_assert_eq!(&a2.output, &b2.output);
-        prop_assert_eq!(&a2.report, &b2.report);
+        prop_assert_eq!(&a, &b);
+        // And a second pass on the same warm engines.
+        let a2 = serial.forward(op).unwrap();
+        let b2 = threaded.forward(op).unwrap();
+        prop_assert_eq!(&a2, &b2);
     }
 
     #[test]
@@ -80,16 +78,14 @@ proptest! {
         let mut fc_threaded = FcEngine::try_new(config(threads), seed).unwrap();
         let a = fc_serial.forward(LayerOp::fc(&inputs, &weights)).unwrap();
         let b = fc_threaded.forward(LayerOp::fc(&inputs, &weights)).unwrap();
-        prop_assert_eq!(&a.output, &b.output);
-        prop_assert_eq!(&a.report, &b.report);
+        prop_assert_eq!(&a, &b);
 
         let x = rows_with_repeats(n, l, &mut rng);
         let mut att_serial = AttentionEngine::try_new(config(1), seed).unwrap();
         let mut att_threaded = AttentionEngine::try_new(config(threads), seed).unwrap();
         let a = att_serial.forward(LayerOp::attention(&x)).unwrap();
         let b = att_threaded.forward(LayerOp::attention(&x)).unwrap();
-        prop_assert_eq!(&a.output, &b.output);
-        prop_assert_eq!(&a.report, &b.report);
+        prop_assert_eq!(&a, &b);
     }
 
     /// Persistent sessions: a stream of submits (batched and single)
@@ -126,8 +122,7 @@ proptest! {
         let (b, b_stats) = run(threads);
         prop_assert_eq!(a_stats, b_stats);
         for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(&x.output, &y.output);
-            prop_assert_eq!(&x.report, &y.report);
+            prop_assert_eq!(&x, &y);
         }
     }
 }

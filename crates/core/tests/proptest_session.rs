@@ -75,7 +75,7 @@ proptest! {
                 }
 
                 let fwd = session.submit(fc, &inputs).unwrap();
-                let got = (fwd.stats().hits, fwd.stats().maus, fwd.stats().mnus);
+                let got = (fwd.stats.hits, fwd.stats.maus, fwd.stats.mnus);
                 prop_assert_eq!(got, want, "outcome mix diverged from manual driving");
             }
             session.advance_epoch();

@@ -56,7 +56,7 @@ impl Conv2d {
         match &mut self.engine {
             Some(engine) => {
                 let out = engine.forward(LayerOp::conv(x, &self.kernels, 1, self.pad))?;
-                self.last_stats = Some(out.report.stats);
+                self.last_stats = Some(out.stats);
                 Ok(out.output)
             }
             None => Ok(conv::conv2d_multi(x, &self.kernels, 1, self.pad)?),
@@ -85,9 +85,9 @@ impl Conv2d {
                 let flipped = flip_kernels(&self.kernels);
                 let out = engine.forward(LayerOp::conv(dout, &flipped, 1, k - 1 - self.pad))?;
                 if let Some(stats) = &mut self.last_stats {
-                    stats.accumulate(&out.report.stats);
+                    stats.accumulate(&out.stats);
                 } else {
-                    self.last_stats = Some(out.report.stats);
+                    self.last_stats = Some(out.stats);
                 }
                 Ok(out.output)
             }
@@ -325,7 +325,7 @@ impl Attention {
         match &mut self.engine {
             Some(engine) => {
                 let out = engine.forward(LayerOp::attention(x))?;
-                self.last_stats = Some(out.report.stats);
+                self.last_stats = Some(out.stats);
                 Ok(out.output)
             }
             None => {

@@ -38,15 +38,6 @@ pub struct OutcomeMix {
 }
 
 impl OutcomeMix {
-    /// Tallies a slice of outcomes.
-    pub fn from_outcomes(outcomes: &[HitKind]) -> Self {
-        let mut mix = OutcomeMix::default();
-        for &o in outcomes {
-            mix.record(o);
-        }
-        mix
-    }
-
     /// Counts one more outcome.
     pub fn record(&mut self, kind: HitKind) {
         match kind {

@@ -146,26 +146,6 @@ impl UniqueVectorExperiment {
     }
 }
 
-/// Groups vector indices by signature; index lists preserve insertion
-/// order, with the first entry of each group being the "producer" whose
-/// computation the rest reuse.
-pub fn group_by_signature(signatures: &[Signature]) -> Vec<Vec<usize>> {
-    let mut order: Vec<Signature> = Vec::new();
-    let mut groups: std::collections::HashMap<Signature, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, &sig) in signatures.iter().enumerate() {
-        let entry = groups.entry(sig).or_insert_with(|| {
-            order.push(sig);
-            Vec::new()
-        });
-        entry.push(i);
-    }
-    order
-        .into_iter()
-        .map(|sig| groups.remove(&sig).unwrap())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,13 +174,6 @@ mod tests {
     fn all_unique_means_zero_similarity() {
         let s = sigs(&[(1, 8), (2, 8), (3, 8)]);
         assert_eq!(similarity_fraction(&s), 0.0);
-    }
-
-    #[test]
-    fn group_by_signature_preserves_order() {
-        let s = sigs(&[(5, 8), (7, 8), (5, 8), (9, 8), (7, 8)]);
-        let groups = group_by_signature(&s);
-        assert_eq!(groups, vec![vec![0, 2], vec![1, 4], vec![3]]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for RPQ invariants.
 
-use mercury_rpq::analysis::{group_by_signature, similarity_fraction, unique_signature_count};
+use mercury_rpq::analysis::{similarity_fraction, unique_signature_count};
 use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
 use mercury_tensor::rng::Rng;
 use proptest::prelude::*;
@@ -68,23 +68,6 @@ proptest! {
         let frac = similarity_fraction(&sigs);
         let reusable = (frac * sigs.len() as f64).round() as usize;
         prop_assert_eq!(unique + reusable, sigs.len());
-    }
-
-    /// Groups partition the index set.
-    #[test]
-    fn groups_partition_indices(raw in proptest::collection::vec(0u128..6, 1..48)) {
-        let sigs: Vec<Signature> =
-            raw.iter().map(|&b| Signature::from_bits(b, 4)).collect();
-        let groups = group_by_signature(&sigs);
-        let mut all: Vec<usize> = groups.concat();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..sigs.len()).collect::<Vec<_>>());
-        // Within each group all signatures agree.
-        for g in &groups {
-            for &i in g {
-                prop_assert_eq!(sigs[i], sigs[g[0]]);
-            }
-        }
     }
 
     /// Batched signature generation (one GEMM over the patch matrix) is

@@ -945,8 +945,7 @@ mod tests {
             .map(|c| c.result.unwrap())
             .collect();
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.output, w.output);
-            assert_eq!(g.report, w.report);
+            assert_eq!(g, w);
         }
     }
 
@@ -1099,7 +1098,7 @@ mod tests {
         s.enqueue(tenant, layer, Tensor::zeros(&[1, 8])).unwrap();
         s.tick();
         let completions = s.drain_completions();
-        assert!(completions[0].result.as_ref().unwrap().report.degraded);
+        assert!(completions[0].result.as_ref().unwrap().degraded);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and the no-replacement policy: popular-tier repeats mostly hit, tail
 //! repeats and overflow uniques become MNUs.
 
-use mercury_mcache::{HitKind, MCache};
+use mercury_mcache::{HitKind, MCache, OutcomeMix};
 use mercury_rpq::Signature;
 use mercury_tensor::rng::{Rng, RngState};
 use std::collections::HashMap;
@@ -152,7 +152,7 @@ impl VectorStream {
     }
 
     /// Maps cluster ids to synthetic signatures (one random signature per
-    /// cluster) and probes the cache, returning the per-vector outcomes
+    /// cluster) and probes the cache, returning the HIT/MAU/MNU counts
     /// and the number of same-window insertion conflicts.
     ///
     /// The cache is cleared first — each stream models one channel, and
@@ -164,11 +164,11 @@ impl VectorStream {
     /// stays resident — no replacement, no tag invalidation short of
     /// `clear` — so every later probe of that cluster is a HIT on the same
     /// entry, and a full set (MNU) only ever fills further, so every later
-    /// probe stays an MNU. Outcome vectors are bit-identical to probing
-    /// each vector; the cache's aggregate hit/miss counters tally distinct
+    /// probe stays an MNU. Outcome counts are identical to probing each
+    /// vector; the cache's aggregate hit/miss counters tally distinct
     /// clusters rather than raw probes (`insert_conflicts`, which only
     /// first occurrences can raise, is unaffected).
-    pub fn probe(&self, cache: &mut MCache, rng: &mut Rng) -> (Vec<HitKind>, u64) {
+    pub fn probe(&self, cache: &mut MCache, rng: &mut Rng) -> (OutcomeMix, u64) {
         let ids = self.cluster_ids_shared(rng);
         let max_id = ids.iter().copied().max().unwrap_or(0);
         let sigs: Vec<Signature> = (0..=max_id)
@@ -182,9 +182,9 @@ impl VectorStream {
         cache.begin_insert_batch();
         let before = cache.stats().insert_conflicts;
         let mut first_outcome: Vec<Option<HitKind>> = vec![None; sigs.len()];
-        let outcomes: Vec<HitKind> = ids
-            .iter()
-            .map(|&id| match first_outcome[id] {
+        let mut mix = OutcomeMix::default();
+        for &id in ids.iter() {
+            mix.record(match first_outcome[id] {
                 Some(HitKind::Mnu) => HitKind::Mnu,
                 Some(_) => HitKind::Hit,
                 None => {
@@ -192,17 +192,17 @@ impl VectorStream {
                     first_outcome[id] = Some(kind);
                     kind
                 }
-            })
-            .collect();
+            });
+        }
         let conflicts = cache.stats().insert_conflicts - before;
-        (outcomes, conflicts)
+        (mix, conflicts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mercury_mcache::{MCacheConfig, OutcomeMix};
+    use mercury_mcache::MCacheConfig;
 
     fn cache() -> MCache {
         MCache::new(MCacheConfig::paper_default())
@@ -234,8 +234,7 @@ mod tests {
         // With few uniques (small stream), nearly every repeat hits.
         for &target in &[0.3, 0.5, 0.8] {
             let s = VectorStream::with_similarity(2000, target, 20);
-            let (outcomes, _) = s.probe(&mut cache(), &mut Rng::new(7));
-            let mix = OutcomeMix::from_outcomes(&outcomes);
+            let (mix, _) = s.probe(&mut cache(), &mut Rng::new(7));
             assert!(
                 mix.hit_rate() <= target + 0.05,
                 "target {target}: hit rate {} too high",
@@ -255,8 +254,7 @@ mod tests {
         // 1024-entry cache (MNUs), but the popular tier keeps hitting —
         // the structure Figure 15a shows.
         let s = VectorStream::with_similarity(50_000, 0.7, 20);
-        let (outcomes, _) = s.probe(&mut cache(), &mut Rng::new(3));
-        let mix = OutcomeMix::from_outcomes(&outcomes);
+        let (mix, _) = s.probe(&mut cache(), &mut Rng::new(3));
         assert!(mix.mnus > 5_000, "expected MNU overflow, got {}", mix.mnus);
         assert!(
             mix.hit_rate() > 0.45,
@@ -329,8 +327,10 @@ mod tests {
 
     #[test]
     fn outcome_mix_arithmetic() {
-        let outcomes = vec![HitKind::Hit, HitKind::Hit, HitKind::Mau, HitKind::Mnu];
-        let mix = OutcomeMix::from_outcomes(&outcomes);
+        let mut mix = OutcomeMix::default();
+        for kind in [HitKind::Hit, HitKind::Hit, HitKind::Mau, HitKind::Mnu] {
+            mix.record(kind);
+        }
         assert_eq!((mix.hits, mix.maus, mix.mnus), (2, 1, 1));
         assert!((mix.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(OutcomeMix::default().hit_rate(), 0.0);
@@ -339,8 +339,7 @@ mod tests {
     #[test]
     fn zero_similarity_streams_never_hit() {
         let s = VectorStream::with_similarity(500, 0.0, 20);
-        let (outcomes, _) = s.probe(&mut cache(), &mut Rng::new(9));
-        let mix = OutcomeMix::from_outcomes(&outcomes);
+        let (mix, _) = s.probe(&mut cache(), &mut Rng::new(9));
         assert_eq!(mix.hits, 0);
     }
 }

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let second = session.submit(conv, &image)?;
 
     for (label, result) in [("request 1 (cold)", &first), ("request 2 (warm)", &second)] {
-        let stats = &result.report.stats;
+        let stats = &result.stats;
         println!("--- {label} ---");
         println!("input vectors     : {}", stats.total_vectors());
         println!("  HIT  (reused)   : {}", stats.hits);
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "cross-request reuse: {} extra hits on request 2 (persistent MCACHE)",
-        second.stats().hits - first.stats().hits
+        second.stats.hits - first.stats.hits
     );
 
     // Epoch boundary: flash-clear every engine's cache (O(sets) occupancy
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let evicted = session.submit(conv, &image)?;
     println!(
         "after advance_epoch(): request sees {} MAUs again (cache evicted)",
-        evicted.stats().maus
+        evicted.stats.maus
     );
 
     // Reuse substitutes producer results for similar patches; measure the

@@ -32,7 +32,7 @@ fn conv_run(engine_seed: u64, workload_seed: u64) -> Vec<(Tensor, u64, u64, u64,
         let fwd = engine
             .forward(LayerOp::conv(&input, &kernels, 1, 1))
             .unwrap();
-        let stats = fwd.report.stats;
+        let stats = fwd.stats;
         out.push((
             fwd.output,
             stats.hits,
@@ -87,11 +87,11 @@ fn fc_engine_runs_are_bit_identical_for_equal_seeds() {
             .unwrap();
         (
             fwd.output,
-            fwd.report.stats.hits,
-            fwd.report.stats.cycles.total(),
+            fwd.stats.hits,
+            fwd.stats.cycles.total(),
             att.output,
-            att.report.stats.hits,
-            att.report.stats.cycles.total(),
+            att.stats.hits,
+            att.stats.cycles.total(),
         )
     };
     assert_eq!(run(11), run(11));
@@ -119,18 +119,13 @@ fn session_streams_are_bit_identical_for_equal_seeds() {
             let fwd = session.submit(conv, &img).unwrap();
             out.push((
                 fwd.output,
-                fwd.report.stats.hits,
-                fwd.report.stats.maus,
-                fwd.report.stats.cycles.total(),
+                fwd.stats.hits,
+                fwd.stats.maus,
+                fwd.stats.cycles.total(),
             ));
             let seq = Tensor::randn(&[5, 6], &mut rng);
             let a = session.submit(att, &seq).unwrap();
-            out.push((
-                a.output,
-                a.report.stats.hits,
-                a.report.stats.maus,
-                a.report.stats.cycles.total(),
-            ));
+            out.push((a.output, a.stats.hits, a.stats.maus, a.stats.cycles.total()));
             if step == 1 {
                 session.advance_epoch();
             }

@@ -112,8 +112,7 @@ fn channel_panic_poisons_only_the_involved_layer() {
         for (id, input, want) in [(r.fc, &fc_in, &want_fc), (r.att, &att_in, &want_att)] {
             assert_eq!(r.session.layer_health(id), Some(LayerHealth::Healthy));
             let got = r.session.submit(id, input).unwrap();
-            assert_eq!(got.output, want.output, "{kind:?}");
-            assert_eq!(got.report, want.report, "{kind:?}");
+            assert_eq!(&got, want, "{kind:?}");
         }
 
         // Recovery: quarantined bank, exact warm-up bit-identical to a
@@ -123,9 +122,9 @@ fn channel_panic_poisons_only_the_involved_layer() {
         exact.session.set_detection(exact.conv, false).unwrap();
         let want = exact.session.submit(exact.conv, &img()).unwrap();
         let got = r.session.submit(r.conv, &img()).unwrap();
-        assert!(got.report.degraded, "{kind:?}");
+        assert!(got.degraded, "{kind:?}");
         assert_eq!(got.output, want.output, "{kind:?}");
-        assert_eq!(got.stats(), want.stats(), "{kind:?}");
+        assert_eq!(got.stats, want.stats, "{kind:?}");
         assert_eq!(r.session.layer_health(r.conv), Some(LayerHealth::Healthy));
         assert!(r.session.engine(r.conv).unwrap().detection_enabled());
     }
@@ -205,17 +204,15 @@ fn tag_corruption_is_deterministic_and_contained() {
             "{kind:?}: corruption is not a crash"
         );
         assert!(
-            corrupted.stats().hits < warm.stats().hits + 64,
+            corrupted.stats.hits < warm.stats.hits + 64,
             "{kind:?}: a corrupted tag cannot out-hit a clean warm stream"
         );
         runs.push((warm, corrupted));
     }
     let (serial_warm, serial_corrupted) = &runs[0];
     for (warm, corrupted) in &runs[1..] {
-        assert_eq!(warm.output, serial_warm.output);
-        assert_eq!(warm.report, serial_warm.report);
-        assert_eq!(corrupted.output, serial_corrupted.output);
-        assert_eq!(corrupted.report, serial_corrupted.report);
+        assert_eq!(warm, serial_warm);
+        assert_eq!(corrupted, serial_corrupted);
     }
 }
 
@@ -259,7 +256,7 @@ fn nan_payload_is_flushed_by_recovery() {
     exact.set_detection(conv_e, false).unwrap();
     let want = exact.submit(conv_e, &img()).unwrap();
     let got = session.submit(conv, &img()).unwrap();
-    assert!(got.report.degraded);
+    assert!(got.degraded);
     assert!(got.output.data().iter().all(|v| v.is_finite()));
     assert_eq!(got.output, want.output);
 }
@@ -319,8 +316,7 @@ fn partial_batch_panic_poisons_only_involved_layers() {
             r.session.layer_stats(r.fc),
             reference.session.layer_stats(reference.fc)
         );
-        assert_eq!(got_fc_next.output, want_fc_next.output, "{kind:?}");
-        assert_eq!(got_fc_next.report, want_fc_next.report, "{kind:?}");
+        assert_eq!(got_fc_next, want_fc_next, "{kind:?}");
         assert_eq!(
             r.session.layer_health(r.att),
             Some(LayerHealth::Healthy),
@@ -422,7 +418,7 @@ fn seeded_faults_reproduce_and_recovery_is_exact() {
         drop(h);
         session.recover(conv).unwrap();
         let recovered = session.submit(conv, &input).unwrap();
-        assert!(recovered.report.degraded);
+        assert!(recovered.degraded);
         (fired, recovered.output.clone())
     };
 

@@ -1,7 +1,7 @@
 //! The executor-refactor contract: the threaded backend is bit-identical
 //! to the serial reference on every engine family and on multi-epoch
 //! `MercurySession` streams, for pool widths 1, 2, and 8 — outputs, reuse
-//! statistics, cycle accounting, and saved signatures alike.
+//! statistics, and cycle accounting alike.
 //!
 //! (`tests/determinism.rs` pins run-to-run determinism of each backend
 //! against itself and the model simulator's serial reference; this suite
@@ -26,13 +26,13 @@ fn config(kind: ExecutorKind) -> MercuryConfig {
 }
 
 fn assert_same(a: &LayerForward, b: &LayerForward, what: &str) {
-    assert_eq!(a.output, b.output, "{what}: outputs diverge");
-    assert_eq!(a.report, b.report, "{what}: reports diverge");
+    assert_eq!(a, b, "{what}: forwards diverge");
 }
 
 /// Drives one engine through a mixed workload: smooth (high-reuse) and
-/// random inputs, signature growth, a detection-off pass, and saved-
-/// signature reuse — every code path the executor refactor touched.
+/// random inputs, signature growth, a detection-off pass, and a second
+/// pass on the warm engine — every code path the executor refactor
+/// touched.
 fn conv_workload(engine: &mut ConvEngine) -> Vec<LayerForward> {
     let mut rng = Rng::new(7);
     let kernels = Tensor::randn(&[6, 2, 3, 3], &mut rng);
@@ -46,14 +46,11 @@ fn conv_workload(engine: &mut ConvEngine) -> Vec<LayerForward> {
         let fwd = engine
             .forward(LayerOp::conv(&input, &kernels, 1, 1))
             .unwrap();
-        let reused = engine
-            .forward_reusing(
-                LayerOp::conv(&input, &kernels, 1, 1),
-                &fwd.report.signatures,
-            )
+        let again = engine
+            .forward(LayerOp::conv(&input, &kernels, 1, 1))
             .unwrap();
         out.push(fwd);
-        out.push(reused);
+        out.push(again);
         if step == 1 {
             engine.set_detection(false);
             out.push(
@@ -133,9 +130,7 @@ fn fc_and_attention_threaded_pools_match_serial() {
     let run = |kind: ExecutorKind| {
         let mut fc = FcEngine::try_new(config(kind), 99).unwrap();
         let f = fc.forward(LayerOp::fc(&inputs, &weights)).unwrap();
-        let f2 = fc
-            .forward_reusing(LayerOp::fc(&inputs, &weights), &f.report.signatures)
-            .unwrap();
+        let f2 = fc.forward(LayerOp::fc(&inputs, &weights)).unwrap();
         let mut att = AttentionEngine::try_new(config(kind), 99).unwrap();
         let a = att.forward(LayerOp::attention(&seq)).unwrap();
         [f, f2, a]

@@ -42,7 +42,7 @@ fn multi_epoch_stream_persists_and_evicts_by_epoch() {
         for s in 0..submits_per_epoch {
             let input = &pool[s % pool.len()];
             let fwd = session.submit(conv, input).unwrap();
-            epoch_maus.push(fwd.report.stats.maus);
+            epoch_maus.push(fwd.stats.maus);
 
             // Repeat-stability: an identical request must get a
             // bit-identical response for the rest of the epoch, no matter
@@ -153,16 +153,15 @@ fn batched_submits_stream_like_sequential_ones() {
             .unwrap();
         // Second conv request repeats the first within the same batch: it
         // must see the tags the first inserted (pure hits, zero MAUs).
-        assert!(outs[0].stats().maus > 0);
-        assert_eq!(outs[2].stats().maus, 0);
+        assert!(outs[0].stats.maus > 0);
+        assert_eq!(outs[2].stats.maus, 0);
         assert_eq!(outs[2].output, outs[0].output);
         sessions.push((s, conv, fc, outs));
     }
     // Serial and threaded fan-out are bit-identical, down to the stats.
     let (a, b) = (&sessions[0], &sessions[1]);
     for (x, y) in a.3.iter().zip(&b.3) {
-        assert_eq!(x.output, y.output);
-        assert_eq!(x.report, y.report);
+        assert_eq!(x, y);
     }
     assert_eq!(a.0.total_stats(), b.0.total_stats());
 }
@@ -182,7 +181,7 @@ fn session_survives_a_long_stream_without_state_blowup() {
     for _ in 0..20 {
         let mut epoch_hits = 0;
         for _ in 0..10 {
-            epoch_hits += session.submit(fc, &payload).unwrap().report.stats.hits;
+            epoch_hits += session.submit(fc, &payload).unwrap().stats.hits;
         }
         let first = *first_epoch_hits.get_or_insert(epoch_hits);
         assert_eq!(epoch_hits, first, "per-epoch behaviour must be stable");
